@@ -1054,7 +1054,7 @@ fn e20() {
 fn e21() {
     use lsga::core::par::Threads;
     use lsga::obs::{self, Counter};
-    use lsga::serve::{TileCoord, TileServer, TileServerConfig};
+    use lsga::serve::{HookPoint, TileCoord, TileServer, TileServerConfig};
     use std::sync::{Arc, Barrier};
 
     let n = 150_000;
@@ -1123,7 +1123,10 @@ fn e21() {
     // parked, so the coalescing factor is exact, not racy.
     let w0 = obs::counter_value(Counter::ServeCoalescedWaits);
     let c1 = obs::counter_value(Counter::ServeTilesComputed);
-    server.set_compute_hook(Some(Arc::new(move |_| {
+    server.set_hook(Some(Arc::new(move |point| {
+        if !matches!(point, HookPoint::Compute(_)) {
+            return;
+        }
         while obs::counter_value(Counter::ServeCoalescedWaits) - w0 < 15 {
             std::thread::yield_now();
         }
@@ -1144,7 +1147,7 @@ fn e21() {
             h.join().expect("storm thread");
         }
     });
-    server.set_compute_hook(None);
+    server.set_hook(None);
     let storm_computed = delta(Counter::ServeTilesComputed, c1);
     let coalesced = delta(Counter::ServeCoalescedWaits, w0);
     println!("\n| single-flight storm | value |");

@@ -47,6 +47,6 @@ pub use kfunc::{distributed_k, partition_spec_for_k, supervised_k, PartialK};
 pub use metrics::{RunMetrics, WorkerMetrics};
 pub use partition::{make_tiles, PartitionStrategy, PixelRect};
 pub use supervisor::{
-    plan_schedule, run_supervised, validate_points, CoverageReport, Schedule, Supervised,
-    TileOutcome,
+    first_live_from, plan_routed, plan_schedule, run_supervised, validate_points, CoverageReport,
+    Schedule, Supervised, TileOutcome,
 };

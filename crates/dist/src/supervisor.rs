@@ -159,15 +159,65 @@ impl CoverageReport {
 /// The simulated cluster pairs worker `t` with tile `t`; when a worker
 /// dies its tile retries on the next surviving worker in rotation
 /// `(t+1, t+2, …) mod n`, which requires re-shipping the halo. When no
-/// worker survives, the tile is abandoned.
+/// worker survives, the tile is abandoned. This is [`plan_routed`] with
+/// the identity home map and every worker live at the start; the
+/// schedule's recovery activity is published to the `dist.*` counters.
 pub fn plan_schedule(shipment_sizes: &[usize], plan: &FaultPlan, policy: &RetryPolicy) -> Schedule {
     let n = shipment_sizes.len();
-    let mut dead = vec![false; n];
-    let mut tiles = Vec::with_capacity(n);
-    for t in 0..n {
+    let schedule = plan_routed(shipment_sizes, n, &vec![false; n], |t| t, plan, policy);
+    // The simulation is sequential, so these totals are trivially
+    // identical for every thread count.
+    for o in &schedule.tiles {
+        obs::add(Counter::DistRetries, o.retries as u64);
+        obs::add(Counter::DistTimeouts, o.timeouts as u64);
+        obs::add(Counter::DistReshipments, o.reshipments as u64);
+        obs::add(Counter::DistReshippedBytes, o.reshipped_bytes);
+        obs::record(Hist::DistTileAttempts, o.attempts as u64);
+        for _ in 0..o.reshipments {
+            obs::instant("dist.reshipment");
+        }
+    }
+    schedule
+}
+
+/// The first worker in the rotation `(home, home+1, …) mod workers`
+/// for which `live` holds — where a tile is (re-)assigned, and where
+/// the serving cluster routes. `None` when no worker is live.
+pub fn first_live_from(home: usize, workers: usize, live: impl Fn(usize) -> bool) -> Option<usize> {
+    (0..workers)
+        .map(|k| (home + k) % workers)
+        .find(|&w| live(w))
+}
+
+/// The routed planner behind [`plan_schedule`]: the same sequential
+/// simulation over an arbitrary `tile → home worker` map and a cluster
+/// whose workers in `dead_at_start` are already down. It publishes
+/// nothing; callers account the schedule under their own counters.
+///
+/// Tile `t` is first assigned to the first worker live at the start in
+/// the rotation `(home(t), home(t)+1, …) mod workers` — that worker
+/// holds its halo. Every attempt runs on the first worker *still* live
+/// in the same rotation; an attempt on any worker other than the
+/// current halo holder re-ships the halo first. Crashes kill workers
+/// for every later tile too. `workers` must be at least 1 whenever
+/// there are tiles.
+pub fn plan_routed(
+    shipment_sizes: &[usize],
+    workers: usize,
+    dead_at_start: &[bool],
+    home: impl Fn(usize) -> usize,
+    plan: &FaultPlan,
+    policy: &RetryPolicy,
+) -> Schedule {
+    assert_eq!(dead_at_start.len(), workers, "one liveness flag per worker");
+    let mut dead = dead_at_start.to_vec();
+    let mut tiles = Vec::with_capacity(shipment_sizes.len());
+    for (t, &size) in shipment_sizes.iter().enumerate() {
+        let home = home(t);
+        let entry = first_live_from(home, workers, |w| !dead_at_start[w]);
         let mut out = TileOutcome {
             tile: t,
-            initial_worker: t,
+            initial_worker: entry.unwrap_or(home),
             final_worker: None,
             attempts: 0,
             retries: 0,
@@ -178,13 +228,12 @@ pub fn plan_schedule(shipment_sizes: &[usize], plan: &FaultPlan, policy: &RetryP
             errors: Vec::new(),
         };
         let mut clock = SimClock::default();
-        let bytes = shipment_sizes[t] as u64 * BYTES_PER_POINT;
-        // The initial shipment (to worker t, charged in the base
-        // metrics) is only valid if worker t is still alive and the
-        // shipment is not dropped en route.
-        let mut halo_holder = if dead[t] { None } else { Some(t) };
+        let bytes = size as u64 * BYTES_PER_POINT;
+        // The initial shipment is only valid if its worker has not died
+        // under an earlier tile and it is not dropped en route.
+        let mut halo_holder = entry.filter(|&w| !dead[w]);
         for attempt in 0..policy.max_attempts {
-            let Some(worker) = (0..n).map(|k| (t + k) % n).find(|w| !dead[*w]) else {
+            let Some(worker) = first_live_from(home, workers, |w| !dead[w]) else {
                 out.errors.push(LsgaError::TaskFailed {
                     tile: t,
                     attempts: out.attempts,
@@ -261,21 +310,8 @@ pub fn plan_schedule(shipment_sizes: &[usize], plan: &FaultPlan, policy: &RetryP
         out.ticks = clock.now();
         tiles.push(out);
     }
-    let dead_workers: Vec<usize> = (0..n).filter(|w| dead[*w]).collect();
+    let dead_workers: Vec<usize> = (0..workers).filter(|&w| dead[w]).collect();
     let sim_ticks = tiles.iter().map(|o| o.ticks).max().unwrap_or(0);
-    // Publish the schedule's recovery activity to the metrics registry.
-    // The simulation above is sequential, so these totals are trivially
-    // identical for every thread count.
-    for o in &tiles {
-        obs::add(Counter::DistRetries, o.retries as u64);
-        obs::add(Counter::DistTimeouts, o.timeouts as u64);
-        obs::add(Counter::DistReshipments, o.reshipments as u64);
-        obs::add(Counter::DistReshippedBytes, o.reshipped_bytes);
-        obs::record(Hist::DistTileAttempts, o.attempts as u64);
-        for _ in 0..o.reshipments {
-            obs::instant("dist.reshipment");
-        }
-    }
     Schedule {
         tiles,
         dead_workers,

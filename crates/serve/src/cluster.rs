@@ -44,13 +44,15 @@
 //! seeded [`FaultPlan`], reusing the two-phase determinism argument of
 //! `lsga_dist::supervisor` (DESIGN.md §3.13):
 //!
-//! 1. **Planning** is a sequential simulation over tiles in index
-//!    order — a pure function of `(plan, policy, ownership, alive
-//!    set)`. It charges halo re-shipments (the points within the
-//!    tile's kernel-inflated bbox, at `BYTES_PER_POINT` each) whenever
-//!    a tile is adopted by a node that does not hold its serving
-//!    state, kills nodes on crash faults, and abandons tiles whose
-//!    retry budget is exhausted.
+//! 1. **Planning** *is* `lsga_dist`'s planner
+//!    ([`plan_routed`]) with [`home_node`] as the home map and the
+//!    current dead nodes as the dead-at-start mask — a sequential, pure
+//!    function of `(plan, policy, ownership, alive set)`. It charges
+//!    halo re-shipments whenever a tile is adopted by a node that does
+//!    not hold its serving state, kills nodes on crash faults, and
+//!    abandons tiles whose retry budget is exhausted. A tile's halo
+//!    weight is [`TileCompute::halo_points`] read from the newest
+//!    replica of the layer, at `BYTES_PER_POINT` each.
 //! 2. **Execution** serves each scheduled-successful tile from its
 //!    final node's exact path. A tile is a pure function of the layer
 //!    replica, every live replica is identical, and the per-node exact
@@ -59,8 +61,8 @@
 //!    every thread count. Doomed plans degrade to a partial result
 //!    with an exact [`CoverageReport`] instead of an error.
 //!
-//! All `cluster.*` counters are published from the sequential planning
-//! loop (or from sequential routing), so observability is invariant
+//! All `cluster.*` counters are published from the sequential schedule
+//! (or from sequential routing), so observability is invariant
 //! under `LSGA_THREADS` — the property `tests/obs_invariance.rs`
 //! checks for the rest of the registry and
 //! `tests/cluster_coherence.rs` checks here.
@@ -70,10 +72,8 @@ use crate::policy::QualityPolicy;
 use crate::server::{TileServer, TileServerConfig};
 use crate::tile::{tile_bbox, LayerId, Tile, TileCoord};
 use lsga_core::error::{LsgaError, Result};
-use lsga_core::{AnyKernel, BBox, Kernel, Point, TimedPoint};
-use lsga_dist::metrics::BYTES_PER_POINT;
-use lsga_dist::supervisor::{CoverageReport, Schedule, TileOutcome};
-use lsga_dist::{FaultKind, FaultPlan, RetryPolicy, SimClock};
+use lsga_core::{AnyKernel, BBox, Point, TimedPoint};
+use lsga_dist::{first_live_from, plan_routed, CoverageReport, FaultPlan, RetryPolicy, Schedule};
 use lsga_obs::{self as obs, Counter, Hist};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -141,18 +141,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Per-layer ledger the cluster keeps beside the per-node replicas:
-/// the window/radius that define tile halos plus the full point set,
-/// used to account halo re-shipment bytes exactly.
-struct LayerLedger {
-    window: BBox,
-    /// Kernel effective radius at the layer's `tail_eps` — the halo
-    /// margin around a tile's bbox (same inflation the per-node
-    /// invalidation sweep uses).
-    radius: f64,
-    points: Vec<Point>,
-}
-
 /// A batch served under a fault plan: per-tile results (abandoned
 /// tiles are `None`), the exact coverage report, and the full
 /// simulated schedule for auditing.
@@ -172,10 +160,9 @@ pub struct SupervisedTiles {
 pub struct ClusterServer {
     nodes: Vec<TileServer>,
     /// Liveness mask; `false` nodes are never routed to and miss
-    /// broadcasts. Guarded by a mutex so routing, broadcast, and
-    /// planning observe a consistent membership.
+    /// broadcasts. Guarded by a mutex so routing, broadcast,
+    /// registration, and planning observe a consistent membership.
     alive: Mutex<Vec<bool>>,
-    ledgers: Mutex<Vec<LayerLedger>>,
     /// Monotone broadcast generation, bumped once per committed
     /// append.
     generation: AtomicU64,
@@ -194,7 +181,6 @@ impl ClusterServer {
         Ok(ClusterServer {
             nodes,
             alive: Mutex::new(vec![true; cfg.nodes]),
-            ledgers: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
         })
     }
@@ -231,8 +217,8 @@ impl ClusterServer {
         self.generation.load(Ordering::Relaxed)
     }
 
-    /// Register a layer on **every** node (dead nodes included, so
-    /// layer ids stay aligned across the cluster) and open its ledger.
+    /// Register a KDV layer on **every** node (dead nodes included, so
+    /// layer ids stay aligned across the cluster).
     pub fn add_layer(
         &self,
         points: Vec<Point>,
@@ -240,29 +226,19 @@ impl ClusterServer {
         kernel: AnyKernel,
         tail_eps: f64,
     ) -> Result<LayerId> {
-        let radius = kernel.effective_radius(tail_eps);
-        let compute: Arc<dyn TileCompute> =
-            Arc::new(KdvCompute::new(&points, window, kernel, tail_eps)?);
-        self.add_compute_layer(compute, radius, points)
+        self.add_compute_layer(Arc::new(KdvCompute::new(
+            &points, window, kernel, tail_eps,
+        )?))
     }
 
     /// Register any [`TileCompute`] on every node. All replicas share
     /// the generation-zero state `Arc` (it is immutable); appends then
     /// evolve each node's snapshot independently but identically.
-    /// `halo_radius` is the tile-halo inflation margin and `points`
-    /// the planar (proxy) coordinates the re-homing accountant weighs
-    /// shipments by — for KDV these are the layer's actual points.
-    pub fn add_compute_layer(
-        &self,
-        compute: Arc<dyn TileCompute>,
-        halo_radius: f64,
-        points: Vec<Point>,
-    ) -> Result<LayerId> {
-        let window = compute.window();
-        // Hold the ledger lock for the whole registration so two
-        // concurrent `add_layer` calls cannot interleave per-node
+    pub fn add_compute_layer(&self, compute: Arc<dyn TileCompute>) -> Result<LayerId> {
+        // Hold the membership lock for the whole registration so two
+        // concurrent registrations cannot interleave per-node
         // registrations and hand out diverged ids.
-        let mut ledgers = self.ledgers.lock().unwrap();
+        let _alive = self.alive.lock().unwrap();
         let mut id: Option<LayerId> = None;
         for node in &self.nodes {
             let lid = node.add_compute_layer(Arc::clone(&compute))?;
@@ -271,14 +247,7 @@ impl ClusterServer {
                 Some(prev) => assert_eq!(prev, lid, "layer ids diverged across nodes"),
             }
         }
-        let id = id.expect("cluster has at least one node");
-        assert_eq!(id, ledgers.len(), "ledger out of step with layer ids");
-        ledgers.push(LayerLedger {
-            window,
-            radius: halo_radius,
-            points,
-        });
-        Ok(id)
+        Ok(id.expect("cluster has at least one node"))
     }
 
     /// The node a tile is routed to right now: the first live node in
@@ -286,23 +255,17 @@ impl ClusterServer {
     /// dead.
     pub fn route(&self, coord: TileCoord) -> Result<usize> {
         let alive = self.alive.lock().unwrap();
-        Self::route_in(&alive, coord, self.nodes.len())
+        Self::route_from(&alive, z_order_key(coord))
     }
 
-    fn route_in(alive: &[bool], coord: TileCoord, n: usize) -> Result<usize> {
-        Self::route_from(alive, z_order_key(coord), n)
-    }
-
-    fn route_from(alive: &[bool], key: u64, n: usize) -> Result<usize> {
-        let home = (key % n as u64) as usize;
-        (0..n)
-            .map(|k| (home + k) % n)
-            .find(|&w| alive[w])
-            .ok_or_else(|| LsgaError::TaskFailed {
-                tile: (key % usize::MAX as u64) as usize,
-                attempts: 0,
-                message: "no live cluster nodes to route to".into(),
-            })
+    /// The same rotation dist's planner re-assigns tiles by.
+    fn route_from(alive: &[bool], key: u64) -> Result<usize> {
+        let home = (key % alive.len() as u64) as usize;
+        first_live_from(home, alive.len(), |w| alive[w]).ok_or_else(|| LsgaError::TaskFailed {
+            tile: (key % usize::MAX as u64) as usize,
+            attempts: 0,
+            message: "no live cluster nodes to route to".into(),
+        })
     }
 
     /// Serve one tile at the exact tier from its owning node.
@@ -327,7 +290,7 @@ impl ClusterServer {
         let coord = TileCoord::new(z, x, y);
         let w = {
             let alive = self.alive.lock().unwrap();
-            Self::route_from(&alive, route_key(coord, bin), self.nodes.len())?
+            Self::route_from(&alive, route_key(coord, bin))?
         };
         obs::incr(Counter::ClusterRoutedRequests);
         self.nodes[w].get_tile_binned(layer, z, x, y, bin)
@@ -362,59 +325,41 @@ impl ClusterServer {
     /// own append path (segment build, generation bump, dirty-region
     /// cache sweep), so all live replicas stay bit-identical. Dead
     /// nodes miss the broadcast and go stale — safe, because routing
-    /// never selects them and there is no rejoin.
+    /// never selects them and there is no rejoin. With no live node
+    /// the append is refused: no replica would store it.
     pub fn insert_points(&self, layer: LayerId, points: &[Point]) -> Result<()> {
-        {
-            let ledgers = self.ledgers.lock().unwrap();
-            if layer >= ledgers.len() {
-                return Err(LsgaError::InvalidParameter {
-                    name: "layer",
-                    message: format!("unknown layer {layer:?}"),
-                });
-            }
-        }
-        // Hold the membership lock across the whole broadcast so a
-        // concurrent kill cannot split one append between replicas.
-        let alive = self.alive.lock().unwrap();
-        for (w, node) in self.nodes.iter().enumerate() {
-            if !alive[w] {
-                continue;
-            }
-            node.insert_points(layer, points)?;
-            obs::incr(Counter::ClusterInvalidationsBroadcast);
-        }
-        self.ledgers.lock().unwrap()[layer]
-            .points
-            .extend_from_slice(points);
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.broadcast(|node| node.insert_points(layer, points))
     }
 
     /// Append timed points to an STKDV layer on every live node, with
-    /// the same broadcast/ledger protocol as
-    /// [`insert_points`](Self::insert_points); the ledger records the
-    /// batch's planar coordinates for halo accounting.
+    /// the same broadcast protocol as
+    /// [`insert_points`](Self::insert_points).
     pub fn insert_timed_points(&self, layer: LayerId, points: &[TimedPoint]) -> Result<()> {
-        {
-            let ledgers = self.ledgers.lock().unwrap();
-            if layer >= ledgers.len() {
-                return Err(LsgaError::InvalidParameter {
-                    name: "layer",
-                    message: format!("unknown layer {layer:?}"),
-                });
-            }
-        }
+        self.broadcast(|node| node.insert_timed_points(layer, points))
+    }
+
+    /// Deliver one append to every live node and commit it to the
+    /// cluster generation. Replicas are identical, so a batch a node
+    /// rejects is rejected by the first live node, before any state
+    /// changes.
+    fn broadcast(&self, insert: impl Fn(&TileServer) -> Result<()>) -> Result<()> {
+        // Hold the membership lock across the whole broadcast so a
+        // concurrent kill cannot split one append between replicas.
         let alive = self.alive.lock().unwrap();
+        if !alive.contains(&true) {
+            return Err(LsgaError::TaskFailed {
+                tile: 0,
+                attempts: 0,
+                message: "no live cluster nodes to store the append".into(),
+            });
+        }
         for (w, node) in self.nodes.iter().enumerate() {
             if !alive[w] {
                 continue;
             }
-            node.insert_timed_points(layer, points)?;
+            insert(node)?;
             obs::incr(Counter::ClusterInvalidationsBroadcast);
         }
-        self.ledgers.lock().unwrap()[layer]
-            .points
-            .extend(points.iter().map(|tp| tp.point));
         self.generation.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -434,23 +379,27 @@ impl ClusterServer {
         true
     }
 
-    /// Points inside the kernel-inflated bbox of each tile — the halo
-    /// shipment an adopting node must receive, and the unit the
-    /// coverage report weighs tiles by.
-    fn shipment_sizes(&self, layer: LayerId, coords: &[TileCoord]) -> Result<Vec<usize>> {
-        let ledgers = self.ledgers.lock().unwrap();
-        let ledger = ledgers
-            .get(layer)
-            .ok_or_else(|| LsgaError::InvalidParameter {
-                name: "layer",
-                message: format!("unknown layer {layer:?}"),
-            })?;
+    /// Each tile's halo weight — the layer records within its
+    /// support-inflated bbox, the shipment an adopting node must
+    /// receive and the unit the coverage report weighs tiles by. Read
+    /// from the replica with the newest layer generation: a live node
+    /// whenever one exists, and with every node dead still one that
+    /// holds every acked append.
+    fn halo_sizes(&self, layer: LayerId, coords: &[TileCoord]) -> Result<Vec<usize>> {
+        let states = self
+            .nodes
+            .iter()
+            .map(|node| node.layer_state(layer))
+            .collect::<Result<Vec<_>>>()?;
+        // Replicas at the same generation hold the same records.
+        let (_, compute) = states
+            .into_iter()
+            .max_by_key(|&(generation, _)| generation)
+            .expect("cluster has at least one node");
+        let window = compute.window();
         Ok(coords
             .iter()
-            .map(|&c| {
-                let halo = tile_bbox(&ledger.window, c).inflate(ledger.radius);
-                ledger.points.iter().filter(|p| halo.contains(p)).count()
-            })
+            .map(|&c| compute.halo_points(tile_bbox(&window, c)))
             .collect())
     }
 
@@ -469,130 +418,20 @@ impl ClusterServer {
         plan: &FaultPlan,
         policy: &RetryPolicy,
     ) -> Result<SupervisedTiles> {
-        let shipment_sizes = self.shipment_sizes(layer, coords)?;
         let n = self.nodes.len();
-
-        // ---- Phase 1: sequential planning (mirrors dist::plan_schedule,
-        // with node ownership in place of the worker-per-tile pairing).
-        let (schedule, was_dead) = {
+        // ---- Phase 1: dist's sequential planner, routed by tile
+        // ownership from the current membership.
+        let (shipment_sizes, schedule, was_dead) = {
             let alive = self.alive.lock().unwrap();
-            let mut dead: Vec<bool> = alive.iter().map(|&a| !a).collect();
-            let was_dead = dead.clone();
-            let mut tiles = Vec::with_capacity(coords.len());
-            for (t, &coord) in coords.iter().enumerate() {
-                let home = home_node(coord, n);
-                let entry = Self::route_in(&alive, coord, n).ok();
-                let mut out = TileOutcome {
-                    tile: t,
-                    initial_worker: entry.unwrap_or(home),
-                    final_worker: None,
-                    attempts: 0,
-                    retries: 0,
-                    timeouts: 0,
-                    reshipments: 0,
-                    reshipped_bytes: 0,
-                    ticks: 0,
-                    errors: Vec::new(),
-                };
-                let mut clock = SimClock::default();
-                let bytes = shipment_sizes[t] as u64 * BYTES_PER_POINT;
-                // The entry node already holds the tile's serving state
-                // (it is the current route target); anyone else must be
-                // shipped the halo before an attempt can run there.
-                let mut halo_holder = entry.filter(|&w| !dead[w]);
-                for attempt in 0..policy.max_attempts {
-                    let Some(node) = (0..n).map(|k| (home + k) % n).find(|&w| !dead[w]) else {
-                        out.errors.push(LsgaError::TaskFailed {
-                            tile: t,
-                            attempts: out.attempts,
-                            message: "no surviving nodes to re-home to".into(),
-                        });
-                        break;
-                    };
-                    if halo_holder != Some(node) {
-                        out.reshipments += 1;
-                        out.reshipped_bytes += bytes;
-                        halo_holder = Some(node);
-                    }
-                    out.attempts += 1;
-                    match plan.fault_at(t, attempt) {
-                        None => {
-                            clock.advance(policy.task_ticks);
-                            out.final_worker = Some(node);
-                            break;
-                        }
-                        Some(FaultKind::Straggle { ticks }) if ticks <= policy.timeout_ticks => {
-                            // Slow but within the deadline: pure latency.
-                            clock.advance(ticks);
-                            out.final_worker = Some(node);
-                            break;
-                        }
-                        Some(kind) => {
-                            let error = match kind {
-                                FaultKind::Straggle { .. } => {
-                                    out.timeouts += 1;
-                                    clock.advance(policy.timeout_ticks);
-                                    LsgaError::Timeout {
-                                        what: "straggling tile serve abandoned",
-                                        ticks: policy.timeout_ticks,
-                                    }
-                                }
-                                FaultKind::CrashBeforeTask | FaultKind::CrashMidTask => {
-                                    dead[node] = true;
-                                    halo_holder = None; // died with the data
-                                    out.timeouts += 1;
-                                    clock.advance(policy.timeout_ticks);
-                                    LsgaError::WorkerLost {
-                                        worker: node,
-                                        tile: t,
-                                    }
-                                }
-                                FaultKind::DropHaloShipment => {
-                                    halo_holder = None;
-                                    out.timeouts += 1;
-                                    clock.advance(policy.timeout_ticks);
-                                    LsgaError::ShipmentLost { tile: t }
-                                }
-                                FaultKind::TaskError => {
-                                    clock.advance(policy.task_ticks);
-                                    LsgaError::TaskFailed {
-                                        tile: t,
-                                        attempts: out.attempts,
-                                        message: "transient serve error".into(),
-                                    }
-                                }
-                            };
-                            out.errors.push(error);
-                            out.retries += 1;
-                            if attempt + 1 < policy.max_attempts {
-                                clock.advance(policy.backoff_after(attempt));
-                            } else {
-                                out.errors.push(LsgaError::TaskFailed {
-                                    tile: t,
-                                    attempts: out.attempts,
-                                    message: "retry budget exhausted".into(),
-                                });
-                            }
-                        }
-                    }
-                }
-                out.ticks = clock.now();
-                tiles.push(out);
-            }
-            let dead_workers: Vec<usize> = (0..n).filter(|&w| dead[w]).collect();
-            let sim_ticks = tiles.iter().map(|o| o.ticks).max().unwrap_or(0);
-            (
-                Schedule {
-                    tiles,
-                    dead_workers,
-                    sim_ticks,
-                },
-                was_dead,
-            )
+            let shipment_sizes = self.halo_sizes(layer, coords)?;
+            let was_dead: Vec<bool> = alive.iter().map(|&a| !a).collect();
+            let home = |t: usize| home_node(coords[t], n);
+            let schedule = plan_routed(&shipment_sizes, n, &was_dead, home, plan, policy);
+            (shipment_sizes, schedule, was_dead)
         };
 
-        // Publish the schedule's recovery activity. The planning loop
-        // above is sequential, so these totals are identical for every
+        // Publish the schedule's recovery activity. The planner is
+        // sequential, so these totals are identical for every
         // thread count.
         let mut adopted = vec![0u64; n];
         for o in &schedule.tiles {
@@ -627,13 +466,10 @@ impl ClusterServer {
             match o.final_worker {
                 Some(w) => {
                     obs::incr(Counter::ClusterRoutedRequests);
-                    let tile = if o.final_worker != Some(o.initial_worker) {
-                        let _rehome = obs::span("cluster.rehome");
-                        self.nodes[w].get_tile(layer, coord.z, coord.x, coord.y)?
-                    } else {
-                        self.nodes[w].get_tile(layer, coord.z, coord.x, coord.y)?
-                    };
-                    tiles.push(Some(tile));
+                    let _rehome = (w != o.initial_worker).then(|| obs::span("cluster.rehome"));
+                    tiles.push(Some(
+                        self.nodes[w].get_tile(layer, coord.z, coord.x, coord.y)?,
+                    ));
                 }
                 None => tiles.push(None),
             }

@@ -259,6 +259,11 @@ pub trait TileCompute: Send + Sync {
     /// than the one that prepared it), producing the successor.
     fn apply_append(&self, prepared: &PreparedAppend, threads: Threads) -> AppliedAppend;
 
+    /// Records whose planar position lies in `tile_bbox` inflated by
+    /// the layer's own support — the halo a node needs to serve the
+    /// tile, which the cluster's re-homing planner weighs shipments by.
+    fn halo_points(&self, tile_bbox: BBox) -> usize;
+
     /// Downcast for the KDV-only degraded/refine tiers. Non-KDV layers
     /// return `None` and deadline requests fall through to the exact
     /// path.
@@ -283,6 +288,10 @@ fn validate_finite_in_window(points: &[Point], window: &BBox) -> Result<()> {
         }
     }
     Ok(())
+}
+
+fn count_in(points: impl Iterator<Item = Point>, halo: BBox) -> usize {
+    points.filter(|p| halo.contains(p)).count()
 }
 
 fn expect_kind<T>(prepared: Option<T>, kind: LayerKind) -> T {
@@ -419,6 +428,15 @@ impl TileCompute for KdvCompute {
             merged_bytes: stats.merged_bytes() as u64,
             segment_depth: Some(depth),
         }
+    }
+
+    fn halo_points(&self, tile_bbox: BBox) -> usize {
+        let halo = tile_bbox.inflate(self.radius);
+        self.segments
+            .segments()
+            .iter()
+            .map(|s| count_in(s.points().iter().copied(), halo))
+            .sum()
     }
 
     fn as_kdv(&self) -> Option<&KdvCompute> {
@@ -620,6 +638,13 @@ impl TileCompute for StkdvCompute {
             segment_depth: None,
         }
     }
+
+    fn halo_points(&self, tile_bbox: BBox) -> usize {
+        count_in(
+            self.points.iter().map(|p| p.point),
+            tile_bbox.inflate(self.radius),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -812,6 +837,14 @@ impl TileCompute for NkdvCompute {
             merged_bytes: 0,
             segment_depth: None,
         }
+    }
+
+    /// Counts events at their snapped world positions.
+    fn halo_points(&self, tile_bbox: BBox) -> usize {
+        count_in(
+            self.events.iter().map(|ev| ev.point(&self.net)),
+            tile_bbox.inflate(self.radius),
+        )
     }
 }
 
@@ -1036,6 +1069,11 @@ impl TileCompute for HotspotCompute {
             merged_bytes: 0,
             segment_depth: None,
         }
+    }
+
+    /// The distance band is the hotspot layer's support.
+    fn halo_points(&self, tile_bbox: BBox) -> usize {
+        count_in(self.points.iter().copied(), tile_bbox.inflate(self.band))
     }
 }
 

@@ -58,5 +58,5 @@ pub use compute::{
     StkdvCompute, TileCompute,
 };
 pub use policy::{ApproxMode, QualityPolicy, TileTier};
-pub use server::{compute_tile_direct, tile_grid_spec, TileServer, TileServerConfig};
+pub use server::{compute_tile_direct, tile_grid_spec, HookPoint, TileServer, TileServerConfig};
 pub use tile::{tile_bbox, tile_spec, LayerId, Tile, TileCoord, TileKey};

@@ -212,22 +212,30 @@ struct LayerSnapshot {
     generation: u64,
 }
 
-/// Hook invoked by a flight leader after winning the flight and before
-/// computing — lets tests pin request interleavings (e.g. hold the
-/// leader until all coalescing waiters have parked).
-type ComputeHook = Arc<dyn Fn(TileKey) + Send + Sync>;
+/// Where the server calls its hook (see [`TileServer::set_hook`]).
+/// Blocking in the hook parks that code path, which lets tests pin
+/// request interleavings deterministically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HookPoint {
+    /// A flight leader won its flight and is about to compute (e.g.
+    /// hold the leader until all coalescing waiters have parked).
+    Compute(TileKey),
+    /// An append prepared its batch and is about to make its first
+    /// commit attempt (e.g. park one writer so another steals its
+    /// generation and forces the CAS re-stamp path).
+    Insert {
+        /// The layer appended to.
+        layer: LayerId,
+        /// Points in the batch.
+        batch_len: usize,
+    },
+    /// A refinement worker dequeued a task, before any generation
+    /// check (e.g. let an insert land under it to force the discard
+    /// path).
+    Refine(TileKey),
+}
 
-/// Hook invoked by `insert_points` after the batch segment is built
-/// but before the first commit attempt, with `(layer, batch_len)` —
-/// lets tests pin writer/writer and writer/reader interleavings (e.g.
-/// park one writer so another steals its generation and forces the
-/// CAS re-stamp path).
-type InsertHook = Arc<dyn Fn(LayerId, usize) + Send + Sync>;
-
-/// Hook invoked by a refinement worker after dequeueing a task and
-/// before any generation check — lets tests park a refinement so an
-/// insert can land under it and force the discard path.
-type RefineHook = Arc<dyn Fn(TileKey) + Send + Sync>;
+type Hook = Arc<dyn Fn(HookPoint) + Send + Sync>;
 
 /// In-memory analytic tile server over KDV layers.
 ///
@@ -269,9 +277,7 @@ struct ServerCore {
     ewma_tile_ns: AtomicU64,
     /// Foreground exact leaders currently computing.
     inflight_exact: AtomicUsize,
-    compute_hook: Mutex<Option<ComputeHook>>,
-    insert_hook: Mutex<Option<InsertHook>>,
-    refine_hook: Mutex<Option<RefineHook>>,
+    hook: Mutex<Option<Hook>>,
 }
 
 /// A refinement worker's whole life: pop, process, report done —
@@ -302,9 +308,7 @@ impl TileServer {
             refine: RefineQueue::new(cfg.refine_queue_cap),
             ewma_tile_ns: AtomicU64::new(0),
             inflight_exact: AtomicUsize::new(0),
-            compute_hook: Mutex::new(None),
-            insert_hook: Mutex::new(None),
-            refine_hook: Mutex::new(None),
+            hook: Mutex::new(None),
         });
         let workers = (0..cfg.refine_workers.max(1))
             .map(|i| {
@@ -489,22 +493,16 @@ impl TileServer {
         self.core.refine.drain();
     }
 
-    /// Install (or clear) the leader compute hook. Test-oriented; see
-    /// [`ComputeHook`].
-    pub fn set_compute_hook(&self, hook: Option<Arc<dyn Fn(TileKey) + Send + Sync>>) {
-        *self.core.compute_hook.lock().expect("hook poisoned") = hook;
+    /// Install (or clear) the hook called at every [`HookPoint`].
+    /// Test-oriented.
+    pub fn set_hook(&self, hook: Option<Arc<dyn Fn(HookPoint) + Send + Sync>>) {
+        *self.core.hook.lock().expect("hook poisoned") = hook;
     }
 
-    /// Install (or clear) the insert hook. Test-oriented; see
-    /// [`InsertHook`].
-    pub fn set_insert_hook(&self, hook: Option<Arc<dyn Fn(LayerId, usize) + Send + Sync>>) {
-        *self.core.insert_hook.lock().expect("hook poisoned") = hook;
-    }
-
-    /// Install (or clear) the refinement hook. Test-oriented; see
-    /// [`RefineHook`].
-    pub fn set_refine_hook(&self, hook: Option<Arc<dyn Fn(TileKey) + Send + Sync>>) {
-        *self.core.refine_hook.lock().expect("hook poisoned") = hook;
+    /// A layer's current generation and analytic state.
+    pub(crate) fn layer_state(&self, layer: LayerId) -> Result<(u64, Arc<dyn TileCompute>)> {
+        let snap = self.core.snapshot(layer)?;
+        Ok((snap.generation, Arc::clone(&snap.compute)))
     }
 }
 
@@ -542,6 +540,15 @@ impl ServerCore {
             generation: 0,
         }));
         Ok(layers.len() - 1)
+    }
+
+    /// Call the installed hook, if any, outside the hook lock (so the
+    /// hook may block, or reinstall itself, without deadlocking).
+    fn fire_hook(&self, point: HookPoint) {
+        let hook = self.hook.lock().expect("hook poisoned").clone();
+        if let Some(hook) = hook {
+            hook(point);
+        }
     }
 
     fn snapshot(&self, layer: LayerId) -> Result<Arc<LayerSnapshot>> {
@@ -733,15 +740,7 @@ impl ServerCore {
     /// generation move, an eviction, or an already-exact entry makes
     /// the task moot (every such exit counts `serve.refine_discards`).
     fn process_refinement(&self, key: TileKey, enqueue_generation: u64) {
-        let hook = self
-            .refine_hook
-            .lock()
-            .expect("hook poisoned")
-            .as_ref()
-            .map(Arc::clone);
-        if let Some(hook) = hook {
-            hook(key);
-        }
+        self.fire_hook(HookPoint::Refine(key));
         let Ok(snap) = self.snapshot(key.layer) else {
             obs::incr(Counter::ServeRefineDiscards);
             return;
@@ -872,15 +871,7 @@ impl ServerCore {
                 flight.fail(e.clone());
                 return Err(e);
             }
-            let hook = self
-                .compute_hook
-                .lock()
-                .expect("hook poisoned")
-                .as_ref()
-                .map(Arc::clone);
-            if let Some(hook) = hook {
-                hook(key);
-            }
+            self.fire_hook(HookPoint::Compute(key));
             let started = Instant::now();
             let tile = {
                 let _span = obs::span("serve.compute_tile");
@@ -989,15 +980,10 @@ impl ServerCore {
         let prepared = old.compute.prepare_append(batch)?;
         obs::add(Counter::IngestPointsAppended, batch.len() as u64);
 
-        let hook = self
-            .insert_hook
-            .lock()
-            .expect("hook poisoned")
-            .as_ref()
-            .map(Arc::clone);
-        if let Some(hook) = hook {
-            hook(layer, batch.len());
-        }
+        self.fire_hook(HookPoint::Insert {
+            layer,
+            batch_len: batch.len(),
+        });
 
         loop {
             let applied = old.compute.apply_append(&prepared, self.cfg.threads);

@@ -19,10 +19,10 @@ use lsga::obs::{self as obs, Counter};
 use lsga::prelude::*;
 use lsga::serve::{
     compute_tile_direct, home_node, tile_bbox, z_order_key, ClusterConfig, ClusterServer,
-    TileCoord, TileServerConfig,
+    StkdvCompute, TileCoord, TileServerConfig,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 // The obs registry is process-global; tests that enable/drain it (or
 // emit counters while another test has it enabled) must not overlap,
@@ -201,6 +201,79 @@ fn node_death_mid_invalidation_keeps_survivors_coherent() {
             assert_eq!(a.to_bits(), b.to_bits(), "stale bits after node death");
         }
     }
+}
+
+/// An append to a cluster with no live node is refused — no replica
+/// would store it, so acking it would lose the write — and the
+/// cluster generation does not move. A supervised batch on the dead
+/// cluster still weighs each tile by every acked append: the halo
+/// counts come from the newest replica, not from a stale one.
+#[test]
+fn appends_to_a_fully_dead_cluster_are_refused() {
+    let _g = LOCK.lock().unwrap();
+    let kernel = kernel_for(1, 10.0);
+    let radius = kernel.effective_radius(TAIL_EPS);
+    let c = cluster(3, 1);
+    let mut mirror = scatter(80, 21);
+    let layer = c
+        .add_layer(mirror.clone(), window(), kernel, TAIL_EPS)
+        .expect("layer");
+    let timed = |n: usize, salt: u64| -> Vec<TimedPoint> {
+        scatter(n, salt)
+            .into_iter()
+            .map(|p| TimedPoint::new(p.x, p.y, 5.0))
+            .collect()
+    };
+    let st = c
+        .add_compute_layer(Arc::new(
+            StkdvCompute::new(
+                &timed(20, 24),
+                window(),
+                kernel,
+                PolyKernel::new(KernelKind::Quartic, 4.0).expect("temporal kernel"),
+                0.0,
+                10.0,
+                2,
+                TAIL_EPS,
+            )
+            .expect("stkdv compute"),
+        ))
+        .expect("stkdv layer");
+
+    // Node 0 dies first, so its replica misses the one acked append.
+    c.kill_node(0);
+    let batch = scatter(30, 22);
+    c.insert_points(layer, &batch)
+        .expect("append with survivors");
+    mirror.extend_from_slice(&batch);
+    assert_eq!(c.generation(), 1);
+
+    c.kill_node(1);
+    c.kill_node(2);
+    assert!(c.alive_nodes().is_empty());
+    assert!(
+        c.insert_points(layer, &scatter(5, 23)).is_err(),
+        "a planar append with no live node must be refused"
+    );
+    assert!(
+        c.insert_timed_points(st, &timed(5, 25)).is_err(),
+        "a timed append with no live node must be refused"
+    );
+    assert_eq!(c.generation(), 1, "a refused append must not commit");
+
+    let coords = pyramid();
+    let out = c
+        .get_tiles_supervised(layer, &coords, &FaultPlan::none(), &RetryPolicy::default())
+        .expect("fully dead cluster still degrades");
+    let acked_halos: usize = coords
+        .iter()
+        .map(|&coord| {
+            let halo = tile_bbox(&window(), coord).inflate(radius);
+            mirror.iter().filter(|p| halo.contains(p)).count()
+        })
+        .sum();
+    assert_eq!(out.report.total_work, acked_halos);
+    assert_eq!(out.report.covered_work, 0);
 }
 
 /// A schedule that exhausts one tile's retry budget degrades to a

@@ -22,7 +22,7 @@
 use lsga::core::par::Threads;
 use lsga::http::{client, HttpServer, HttpServerConfig};
 use lsga::prelude::*;
-use lsga::serve::{compute_tile_direct, TileServer, TileServerConfig};
+use lsga::serve::{compute_tile_direct, HookPoint, TileServer, TileServerConfig};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -286,7 +286,10 @@ fn rejects_with_503_iff_the_queue_is_full() {
     {
         let gate = Arc::clone(&gate);
         let entered = Arc::clone(&entered);
-        server.tiles().set_compute_hook(Some(Arc::new(move |_key| {
+        server.tiles().set_hook(Some(Arc::new(move |point| {
+            if !matches!(point, HookPoint::Compute(_)) {
+                return;
+            }
             entered.store(true, Ordering::SeqCst);
             while !gate.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(1));
@@ -344,7 +347,7 @@ fn rejects_with_503_iff_the_queue_is_full() {
         let resp = client::read_response(&mut conn).expect("queued response");
         assert_eq!(resp.status, 200);
     }
-    server.tiles().set_compute_hook(None);
+    server.tiles().set_hook(None);
 
     // Back under capacity: no more 503s.
     let resp = client::get(addr, &target, &[], TIMEOUT).expect("recovered GET");

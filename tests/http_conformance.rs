@@ -22,7 +22,7 @@ use lsga::core::par::Threads;
 use lsga::http::{client, HttpServer, HttpServerConfig};
 use lsga::obs::{self, Counter};
 use lsga::prelude::*;
-use lsga::serve::{TileServer, TileServerConfig};
+use lsga::serve::{HookPoint, TileServer, TileServerConfig};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -454,7 +454,10 @@ fn graceful_shutdown_completes_inflight_sheds_queued_and_joins() {
     {
         let gate = Arc::clone(&gate);
         let entered = Arc::clone(&entered);
-        tiles.set_compute_hook(Some(Arc::new(move |_key| {
+        tiles.set_hook(Some(Arc::new(move |point| {
+            if !matches!(point, HookPoint::Compute(_)) {
+                return;
+            }
             entered.store(true, Ordering::SeqCst);
             while !gate.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(1));
@@ -521,7 +524,7 @@ fn graceful_shutdown_completes_inflight_sheds_queued_and_joins() {
     rx.recv_timeout(Duration::from_secs(10))
         .expect("shutdown did not join within 10s");
     shutter.join().expect("shutter thread");
-    tiles.set_compute_hook(None);
+    tiles.set_hook(None);
 
     // No leaked threads, and the port is released.
     if let Some(n) = threads_with_prefix(&prefix) {

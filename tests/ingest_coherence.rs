@@ -20,7 +20,7 @@
 
 use lsga::core::par::Threads;
 use lsga::prelude::*;
-use lsga::serve::{compute_tile_direct, TileCoord, TileServer, TileServerConfig};
+use lsga::serve::{compute_tile_direct, HookPoint, TileCoord, TileServer, TileServerConfig};
 use lsga::{data, obs};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -253,7 +253,10 @@ fn compaction_completing_under_reader_discards_stale_tile() {
         Arc::clone(&release),
         Arc::clone(&once),
     );
-    s.set_compute_hook(Some(Arc::new(move |_key| {
+    s.set_hook(Some(Arc::new(move |point| {
+        if !matches!(point, HookPoint::Compute(_)) {
+            return;
+        }
         if once_h.swap(false, Ordering::SeqCst) {
             entered_h.store(true, Ordering::SeqCst);
             while !release_h.load(Ordering::SeqCst) {
@@ -277,7 +280,7 @@ fn compaction_completing_under_reader_discards_stale_tile() {
     release.store(true, Ordering::SeqCst);
 
     let tile = reader.join().expect("reader panicked");
-    s.set_compute_hook(None);
+    s.set_hook(None);
     let direct = compute_tile_direct(
         &pts,
         &window(),
@@ -321,7 +324,10 @@ fn cas_loser_restamps_segment_without_rebuild() {
     let a_parked = Arc::new(AtomicBool::new(false));
     let b_done = Arc::new(AtomicBool::new(false));
     let (a_parked_h, b_done_h) = (Arc::clone(&a_parked), Arc::clone(&b_done));
-    s.set_insert_hook(Some(Arc::new(move |_layer, batch_len| {
+    s.set_hook(Some(Arc::new(move |point| {
+        let HookPoint::Insert { batch_len, .. } = point else {
+            return;
+        };
         if batch_len == 2 {
             a_parked_h.store(true, Ordering::SeqCst);
             while !b_done_h.load(Ordering::SeqCst) {
@@ -343,7 +349,7 @@ fn cas_loser_restamps_segment_without_rebuild() {
     s.insert_points(layer, &batch_b).expect("insert B");
     b_done.store(true, Ordering::SeqCst);
     writer_a.join().expect("writer A panicked");
-    s.set_insert_hook(None);
+    s.set_hook(None);
 
     // Neither batch triggers a merge (64 > 2·7, 5 > 2·2), so the CAS
     // conflict is the only interesting event in the table.

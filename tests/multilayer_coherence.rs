@@ -14,12 +14,14 @@
 //! STKDV time-bin key must never collide with a spatial-only key.
 
 use lsga::core::par::Threads;
+use lsga::dist::metrics::BYTES_PER_POINT;
+use lsga::dist::{FaultKind, FaultPlan, RetryPolicy};
 use lsga::prelude::*;
 use lsga::serve::{
     compute_tile_direct, hotspot_overlay, nkdv_snap_index, rasterize_lixel_values,
-    resample_overlay, snap_batch, tile_grid_spec, ClusterConfig, ClusterServer, HotspotCompute,
-    HotspotStat, LayerId, LayerKind, NkdvCompute, StkdvCompute, TileCoord, TileKey, TileServer,
-    TileServerConfig,
+    resample_overlay, snap_batch, tile_bbox, tile_grid_spec, ClusterConfig, ClusterServer,
+    HotspotCompute, HotspotStat, LayerId, LayerKind, NkdvCompute, StkdvCompute, TileCoord, TileKey,
+    TileServer, TileServerConfig,
 };
 use lsga::{kdv, network, obs};
 use proptest::prelude::*;
@@ -147,48 +149,35 @@ fn add_all_layers(c: &ClusterServer, fx: &Fixture, m: &Mirrors) -> Layers {
         .add_layer(m.kdv.clone(), window(), kdv_kernel(), TAIL_EPS)
         .expect("kdv layer");
     let st = c
-        .add_compute_layer(
-            Arc::new(
-                StkdvCompute::new(
-                    &m.st,
-                    window(),
-                    st_spatial(),
-                    st_temporal(),
-                    T_MIN,
-                    T_MAX,
-                    NT as usize,
-                    TAIL_EPS,
-                )
-                .expect("stkdv compute"),
-            ),
-            st_spatial().effective_radius(TAIL_EPS),
-            m.st.iter().map(|p| p.point).collect(),
-        )
+        .add_compute_layer(Arc::new(
+            StkdvCompute::new(
+                &m.st,
+                window(),
+                st_spatial(),
+                st_temporal(),
+                T_MIN,
+                T_MAX,
+                NT as usize,
+                TAIL_EPS,
+            )
+            .expect("stkdv compute"),
+        ))
         .expect("stkdv layer");
     let nkdv = c
-        .add_compute_layer(
-            Arc::new(
-                NkdvCompute::new(
-                    Arc::clone(&fx.net),
-                    Arc::clone(&fx.lixels),
-                    &m.events,
-                    nkdv_kernel(),
-                )
-                .expect("nkdv compute"),
-            ),
-            nkdv_kernel().effective_radius(kdv::DEFAULT_TAIL_EPS),
-            m.events.iter().map(|ev| ev.point(&fx.net)).collect(),
-        )
+        .add_compute_layer(Arc::new(
+            NkdvCompute::new(
+                Arc::clone(&fx.net),
+                Arc::clone(&fx.lixels),
+                &m.events,
+                nkdv_kernel(),
+            )
+            .expect("nkdv compute"),
+        ))
         .expect("nkdv layer");
     let hot = c
-        .add_compute_layer(
-            Arc::new(
-                HotspotCompute::new(&m.hot, window(), CELLS, BAND, fx.stat)
-                    .expect("hotspot compute"),
-            ),
-            BAND,
-            m.hot.clone(),
-        )
+        .add_compute_layer(Arc::new(
+            HotspotCompute::new(&m.hot, window(), CELLS, BAND, fx.stat).expect("hotspot compute"),
+        ))
         .expect("hotspot layer");
     Layers { kdv, st, nkdv, hot }
 }
@@ -663,4 +652,120 @@ fn wrong_batch_shape_is_rejected_per_kind() {
     s.insert_timed_points(st, &timed_scatter(2, 10))
         .expect("stkdv insert");
     s.insert_points(hot, &scatter(2, 10)).expect("hot insert");
+}
+
+/// Supervised re-homing on the STKDV, NKDV and hotspot layers weighs
+/// each tile by the layer's own halo: the records within the tile bbox
+/// inflated by the layer's support. `report.total_work` and every
+/// re-shipment must match the counts derived from the mirrors — NKDV
+/// events (appends included) at their *snapped* world positions — and
+/// every executed tile must still match its oracle bit-for-bit.
+#[test]
+fn supervised_halo_weights_match_each_layers_records() {
+    let _g = LOCK.lock().unwrap();
+    let fx = Fixture::new(HotspotStat::GiStar);
+    let mut m = Mirrors {
+        kdv: scatter(20, 31),
+        st: timed_scatter(30, 32),
+        events: network::sample_on_network(&fx.net, 25, 33),
+        hot: scatter(35, 34),
+    };
+    let cluster = ClusterServer::new(ClusterConfig {
+        nodes: 3,
+        node: node_config(2),
+    })
+    .expect("cluster");
+    let layers = add_all_layers(&cluster, &fx, &m);
+
+    let st_batch = timed_scatter(6, 35);
+    cluster
+        .insert_timed_points(layers.st, &st_batch)
+        .expect("stkdv insert");
+    m.st.extend_from_slice(&st_batch);
+    let nk_batch = scatter(6, 36);
+    cluster
+        .insert_points(layers.nkdv, &nk_batch)
+        .expect("nkdv insert");
+    m.events
+        .extend(snap_batch(&fx.net, &fx.snap, &nk_batch).expect("snap"));
+    let hot_batch = scatter(6, 37);
+    cluster
+        .insert_points(layers.hot, &hot_batch)
+        .expect("hotspot insert");
+    m.hot.extend_from_slice(&hot_batch);
+    // A node dead before planning: its tiles re-home and re-ship.
+    cluster.kill_node(1);
+
+    let coords: Vec<TileCoord> = (0..=MAX_ZOOM)
+        .flat_map(|z| {
+            let side = 1u32 << z;
+            (0..side).flat_map(move |y| (0..side).map(move |x| TileCoord::new(z, x, y)))
+        })
+        .collect();
+    let halo_counts = |points: &[Point], window: BBox, support: f64| -> Vec<usize> {
+        coords
+            .iter()
+            .map(|&c| {
+                let halo = tile_bbox(&window, c).inflate(support);
+                points.iter().filter(|p| halo.contains(p)).count()
+            })
+            .collect()
+    };
+    let st_points: Vec<Point> = m.st.iter().map(|p| p.point).collect();
+    let nk_points: Vec<Point> = m.events.iter().map(|ev| ev.point(&fx.net)).collect();
+    let cases = [
+        (
+            layers.st,
+            "stkdv",
+            halo_counts(
+                &st_points,
+                window(),
+                st_spatial().effective_radius(TAIL_EPS),
+            ),
+        ),
+        (
+            layers.nkdv,
+            "nkdv",
+            halo_counts(
+                &nk_points,
+                fx.nkdv_window(),
+                nkdv_kernel().effective_radius(kdv::DEFAULT_TAIL_EPS),
+            ),
+        ),
+        (layers.hot, "hotspot", halo_counts(&m.hot, window(), BAND)),
+    ];
+    let plan =
+        FaultPlan::seeded_recoverable(41, coords.len(), 5).with(0, 0, FaultKind::DropHaloShipment);
+    for (layer, what, expected) in cases {
+        let out = cluster
+            .get_tiles_supervised(layer, &coords, &plan, &RetryPolicy::default())
+            .expect("supervised");
+        assert!(out.report.is_complete(), "{what}: recoverable plan");
+        assert_eq!(
+            out.report.total_work,
+            expected.iter().sum::<usize>(),
+            "{what}: total halo weight"
+        );
+        assert!(
+            out.schedule.tiles.iter().any(|o| o.reshipments > 0),
+            "{what}: the plan must re-ship something"
+        );
+        for (o, &n) in out.schedule.tiles.iter().zip(&expected) {
+            assert_eq!(
+                o.reshipped_bytes,
+                u64::from(o.reshipments) * n as u64 * BYTES_PER_POINT,
+                "{what}: tile {} re-shipped its halo",
+                o.tile
+            );
+        }
+        for (tile, &c) in out.tiles.iter().zip(&coords) {
+            let tile = tile.as_ref().expect("covered");
+            let oracle = match what {
+                "stkdv" => oracle_st(&m, c, 0),
+                "nkdv" => oracle_nkdv(&fx, &m, c),
+                _ => oracle_hot(&fx, &m, c),
+            };
+            assert_tile_bits(tile, &oracle, what, c).unwrap();
+        }
+    }
 }

@@ -14,7 +14,7 @@ use lsga::core::error::LsgaError;
 use lsga::core::par::Threads;
 use lsga::obs::Counter;
 use lsga::prelude::*;
-use lsga::serve::{compute_tile_direct, TileCoord, TileServer, TileServerConfig};
+use lsga::serve::{compute_tile_direct, HookPoint, TileCoord, TileServer, TileServerConfig};
 use lsga::{data, obs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -59,7 +59,10 @@ fn sixteen_concurrent_requests_coalesce_to_one_computation() {
     // requests have counted themselves as coalesced waiters. Waiters
     // bump `serve.coalesced_waits` before parking on the condvar, so
     // spinning on the counter pins the interleaving exactly.
-    s.set_compute_hook(Some(Arc::new(|_key| {
+    s.set_hook(Some(Arc::new(|point| {
+        if !matches!(point, HookPoint::Compute(_)) {
+            return;
+        }
         while obs::counter_value(Counter::ServeCoalescedWaits) < 15 {
             thread::yield_now();
         }
@@ -80,7 +83,7 @@ fn sixteen_concurrent_requests_coalesce_to_one_computation() {
         .into_iter()
         .map(|h| h.join().expect("request thread panicked"))
         .collect();
-    s.set_compute_hook(None);
+    s.set_hook(None);
     let _ = layer;
 
     // Everyone got the same physical tile (leader's Arc, fanned out).
@@ -138,7 +141,10 @@ fn leader_panic_fails_waiters_and_unwedges_the_key() {
     // Later invocations are no-ops so the retry below computes.
     let fired = Arc::new(AtomicBool::new(false));
     let fired_hook = Arc::clone(&fired);
-    s.set_compute_hook(Some(Arc::new(move |_key| {
+    s.set_hook(Some(Arc::new(move |point| {
+        if !matches!(point, HookPoint::Compute(_)) {
+            return;
+        }
         if !fired_hook.swap(true, Ordering::SeqCst) {
             while obs::counter_value(Counter::ServeCoalescedWaits) < 1 {
                 thread::yield_now();
@@ -184,7 +190,7 @@ fn leader_panic_fails_waiters_and_unwedges_the_key() {
     for (a, b) in tile.grid.values().iter().zip(direct.values()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
-    s.set_compute_hook(None);
+    s.set_hook(None);
     let _ = layer;
     obs::disable();
 }
@@ -217,7 +223,10 @@ fn insert_completing_before_publish_forces_recompute() {
         Arc::clone(&release),
         Arc::clone(&first),
     );
-    s.set_compute_hook(Some(Arc::new(move |_key| {
+    s.set_hook(Some(Arc::new(move |point| {
+        if !matches!(point, HookPoint::Compute(_)) {
+            return;
+        }
         if first_h.swap(false, Ordering::SeqCst) {
             entered_h.store(true, Ordering::SeqCst);
             while !release_h.load(Ordering::SeqCst) {
@@ -240,7 +249,7 @@ fn insert_completing_before_publish_forces_recompute() {
     release.store(true, Ordering::SeqCst);
 
     let tile = reader.join().expect("reader panicked");
-    s.set_compute_hook(None);
+    s.set_hook(None);
 
     // The served tile reflects the post-insert point set, bit for bit.
     let direct = compute_tile_direct(&pts, &window(), kernel, 1e-9, 32, TileCoord::new(2, 0, 0));

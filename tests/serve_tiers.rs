@@ -23,17 +23,24 @@ use lsga::core::par::Threads;
 use lsga::obs;
 use lsga::prelude::*;
 use lsga::serve::{
-    compute_tile_direct, ApproxMode, QualityPolicy, TileCoord, TileServer, TileServerConfig,
-    TileTier,
+    compute_tile_direct, ApproxMode, HookPoint, QualityPolicy, TileCoord, TileServer,
+    TileServerConfig, TileTier,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-// The obs registry is process-global; every test that enables/drains it
-// serializes here.
+// The obs registry is process-global, and a refinement from one test's
+// server can land in another test's counter snapshot, so every test
+// that builds a server serializes here.
 static LOCK: Mutex<()> = Mutex::new(());
+
+/// Take `LOCK`, ignoring poison: a failed test must stay one failure
+/// instead of failing every test that runs after it.
+fn serialize() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const TILE_PX: usize = 32;
 
@@ -73,7 +80,10 @@ fn sampling_policy(eps: f64) -> QualityPolicy {
 fn gate_refinements(s: &TileServer) -> Arc<AtomicBool> {
     let gate = Arc::new(AtomicBool::new(false));
     let g = Arc::clone(&gate);
-    s.set_refine_hook(Some(Arc::new(move |_key| {
+    s.set_hook(Some(Arc::new(move |point| {
+        if !matches!(point, HookPoint::Refine(_)) {
+            return;
+        }
         while !g.load(Ordering::Acquire) {
             thread::yield_now();
         }
@@ -131,6 +141,7 @@ fn policy_constructor_rejects_nonsense_parameters() {
 
 #[test]
 fn degraded_tile_is_stamped_bounded_and_then_refined_to_exact_bits() {
+    let _g = serialize();
     let pts = points(4_000);
     let kernel = KernelKind::Quartic.with_bandwidth(8.0);
     let s = server();
@@ -200,6 +211,7 @@ fn degraded_tile_is_stamped_bounded_and_then_refined_to_exact_bits() {
 
 #[test]
 fn bounds_mode_respects_the_relative_guarantee() {
+    let _g = serialize();
     let pts = points(3_000);
     let kernel = KernelKind::Quartic.with_bandwidth(10.0);
     let s = server();
@@ -226,7 +238,7 @@ fn bounds_mode_respects_the_relative_guarantee() {
 
 #[test]
 fn exact_requests_treat_degraded_entries_as_misses() {
-    let _g = LOCK.lock().unwrap();
+    let _g = serialize();
     obs::reset();
     obs::enable();
 
@@ -274,7 +286,7 @@ fn exact_requests_treat_degraded_entries_as_misses() {
 
 #[test]
 fn refinement_racing_an_append_is_discarded_not_applied() {
-    let _g = LOCK.lock().unwrap();
+    let _g = serialize();
     obs::reset();
     obs::enable();
 
@@ -321,6 +333,7 @@ fn refinement_racing_an_append_is_discarded_not_applied() {
 
 #[test]
 fn warm_exact_entries_short_circuit_the_policy_path() {
+    let _g = serialize();
     let pts = points(2_000);
     let kernel = KernelKind::Quartic.with_bandwidth(8.0);
     let s = server();
@@ -343,6 +356,7 @@ fn warm_exact_entries_short_circuit_the_policy_path() {
 
 #[test]
 fn unseeded_controller_degrades_behind_inflight_leaders_and_bootstraps_when_idle() {
+    let _g = serialize();
     let pts = points(2_500);
     let kernel = KernelKind::Quartic.with_bandwidth(8.0);
     let s = server();
@@ -359,7 +373,10 @@ fn unseeded_controller_degrades_behind_inflight_leaders_and_bootstraps_when_idle
     {
         let gate = Arc::clone(&gate);
         let entered = Arc::clone(&entered);
-        s.set_compute_hook(Some(Arc::new(move |key| {
+        s.set_hook(Some(Arc::new(move |point| {
+            let HookPoint::Compute(key) = point else {
+                return;
+            };
             if key.coord == a {
                 entered.store(true, Ordering::Release);
                 while !gate.load(Ordering::Acquire) {
@@ -388,7 +405,7 @@ fn unseeded_controller_degrades_behind_inflight_leaders_and_bootstraps_when_idle
         let warm = leader.join().unwrap();
         assert!(warm.tier.is_exact());
     });
-    s.set_compute_hook(None);
+    s.set_hook(None);
     s.drain_refinements();
 
     // Bootstrap path: with zero leaders in flight the same unseeded
@@ -416,6 +433,7 @@ fn unseeded_controller_degrades_behind_inflight_leaders_and_bootstraps_when_idle
 
 #[test]
 fn admitted_requests_serve_exact_bits_under_generous_deadlines() {
+    let _g = serialize();
     let pts = points(2_000);
     let kernel = KernelKind::Quartic.with_bandwidth(8.0);
     let s = server();
