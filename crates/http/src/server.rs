@@ -22,13 +22,18 @@
 //! Shutdown protocol (exercised by the lifecycle tests in
 //! `tests/http_conformance.rs`):
 //!
-//! 1. `stop` flips → acceptors exit their poll loop and are joined.
-//!    No new connections enter the system.
+//! 1. `stop` flips, then each acceptor, blocked in `accept`, is woken
+//!    by a loopback connection to the listening port (repeated until
+//!    that acceptor has exited). An acceptor checks `stop` after every
+//!    `accept` returns; once it is set, the acceptor drops that
+//!    connection uncounted and exits. The acceptors are joined, and no
+//!    new connections enter the system.
 //! 2. `draining` flips → a worker mid-connection finishes the request
 //!    in flight, then closes instead of reading the next one.
-//! 3. Queues are notified; workers shed every still-queued connection
-//!    with a `503` (counted under `http.shed_on_shutdown`), then exit
-//!    when their queue is empty.
+//! 3. Each queue's lock is taken and its worker notified, so a worker
+//!    about to wait cannot miss the flip; workers shed every
+//!    still-queued connection with a `503` (counted under
+//!    `http.shed_on_shutdown`), then exit when their queue is empty.
 //! 4. Workers are joined. Every thread the server spawned carries a
 //!    `lh{instance}-` name prefix so tests can prove none leak.
 
@@ -40,7 +45,7 @@ use lsga_obs as obs;
 use lsga_serve::TileServer;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -57,7 +62,8 @@ pub struct HttpServerConfig {
     /// Worker threads, one bounded connection queue each.
     pub workers: usize,
     /// Per-worker queue capacity; with every queue full, new
-    /// connections get `503 Retry-After: 1`.
+    /// connections get a `503` whose `Retry-After` comes from the tile
+    /// server's live queue-wait estimate, clamped to 1..=8 s.
     pub queue_cap: usize,
     /// Socket read/write timeout. A request head that stalls past this
     /// is answered `408`; an idle keep-alive connection is closed
@@ -127,7 +133,6 @@ impl HttpServer {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.queue_cap >= 1, "queue capacity must be positive");
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let instance = INSTANCE.fetch_add(1, Ordering::Relaxed);
 
@@ -211,11 +216,21 @@ impl HttpServer {
 
     fn shutdown_inner(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        // Any acceptor may take a wake connection, so keep connecting
+        // until this one has exited; a failed connect just retries.
+        let wake = loopback(self.addr);
         for h in self.acceptors.drain(..) {
+            while !h.is_finished() {
+                let _ = TcpStream::connect_timeout(&wake, WAKE_CONNECT_TIMEOUT);
+                std::thread::yield_now();
+            }
             let _ = h.join();
         }
         self.shared.draining.store(true, Ordering::SeqCst);
         for q in &self.shared.queues {
+            // Taking the lock orders the flip before the worker's next
+            // check-then-wait, so its wakeup cannot be lost.
+            drop(q.deque.lock().unwrap());
             q.ready.notify_all();
         }
         for h in self.workers.drain(..) {
@@ -230,19 +245,38 @@ impl Drop for HttpServer {
     }
 }
 
-/// Accept connections until `stop`; dispatch each to a worker queue or
-/// answer `503` inline when every queue is full.
+/// How long one shutdown wake connect may take before it is retried.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The address a wake connection dials: the bound address, with an
+/// unspecified IP replaced by the loopback of the same family.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Block in `accept` until `stop`; dispatch each connection to a worker
+/// queue or answer `503` inline when every queue is full. A connection
+/// accepted after `stop` (the shutdown wake, or a late client) is
+/// dropped uncounted.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((conn, _)) => {
                 obs::incr(obs::Counter::HttpConnsAccepted);
                 dispatch(conn, shared);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Transient accept errors (e.g. ECONNABORTED): keep serving.
+            // Transient accept errors (e.g. ECONNABORTED, EMFILE): back
+            // off briefly and keep serving.
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
@@ -309,11 +343,7 @@ fn worker_loop(shared: &Shared, idx: usize) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = q
-                    .ready
-                    .wait_timeout(deque, Duration::from_millis(25))
-                    .unwrap();
-                deque = guard;
+                deque = q.ready.wait(deque).unwrap();
             }
         };
         let Some(conn) = conn else { return };
@@ -597,6 +627,15 @@ mod tests {
         // No terminator yet.
         assert!(find_head_end(b"GET / HTTP/1.1\r\nHost: x\r\n").is_none());
         assert!(find_head_end(b"").is_none());
+    }
+
+    #[test]
+    fn wake_address_maps_unspecified_ips_to_loopback() {
+        let a = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(loopback(a("0.0.0.0:8080")), a("127.0.0.1:8080"));
+        assert_eq!(loopback(a("[::]:8080")), a("[::1]:8080"));
+        assert_eq!(loopback(a("10.1.2.3:8080")), a("10.1.2.3:8080"));
+        assert_eq!(loopback(a("[fe80::1]:8080")), a("[fe80::1]:8080"));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! - **lifecycle tests**: graceful shutdown completes the in-flight
 //!   request, sheds queued connections with `503`, joins every thread
 //!   the server spawned (verified against `/proc/self/task` by thread
-//!   name prefix), and releases the listening port.
+//!   name prefix), and releases the listening port; shutdown also
+//!   wakes acceptors blocked in `accept` on a wildcard bind and on a
+//!   server that never saw a connection.
 
 use lsga::core::par::Threads;
 use lsga::http::{client, HttpServer, HttpServerConfig};
@@ -25,9 +27,9 @@ use lsga::prelude::*;
 use lsga::serve::{HookPoint, TileServer, TileServerConfig};
 use proptest::prelude::*;
 use std::io::Write;
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 const TILE_PX: usize = 8;
@@ -542,6 +544,58 @@ fn graceful_shutdown_completes_inflight_sheds_queued_and_joins() {
             );
         }
     }
+}
+
+/// Shut `server` down on a helper thread under a 10 s watchdog, then
+/// prove none of its threads survive and `addr` no longer serves.
+fn shutdown_within_watchdog(server: HttpServer, addr: SocketAddr) {
+    let prefix = server.thread_prefix();
+    let (tx, rx) = mpsc::channel();
+    let shutter = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("shutdown did not join within 10s");
+    shutter.join().expect("shutter thread");
+    // A joined thread can stay listed in procfs for a moment after its
+    // tid is released, so give the count a bounded spin to reach zero.
+    let spin = Instant::now() + Duration::from_secs(1);
+    while threads_with_prefix(&prefix).is_some_and(|n| n > 0) && Instant::now() < spin {
+        std::thread::yield_now();
+    }
+    if let Some(n) = threads_with_prefix(&prefix) {
+        assert_eq!(n, 0, "server threads leaked past shutdown");
+    }
+    assert!(
+        client::get(addr, "/healthz", &[], Duration::from_millis(500)).is_err(),
+        "listener still serving after shutdown"
+    );
+}
+
+#[test]
+fn wake_shutdown_joins_every_acceptor_after_serving_on_a_wildcard_bind() {
+    let server = start_server(HttpServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        acceptors: 3,
+        workers: 4,
+        ..HttpServerConfig::default()
+    });
+    let addr = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+    let resp = client::get(addr, "/healthz", &[], CLIENT_TIMEOUT).expect("healthz");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, b"ok\n");
+    shutdown_within_watchdog(server, addr);
+}
+
+#[test]
+fn wake_shutdown_joins_a_server_that_never_saw_a_connection() {
+    let server = start_server(HttpServerConfig {
+        acceptors: 2,
+        ..HttpServerConfig::default()
+    });
+    let addr = server.local_addr();
+    shutdown_within_watchdog(server, addr);
 }
 
 /// Serializes the tests that enable the process-global obs registry.
