@@ -444,7 +444,6 @@ fn execute(
             }
             let tile = match &policy {
                 Some(p) => shared.tiles.get_tile_with_policy(layer, z, x, y, p),
-                None if bin == 0 => shared.tiles.get_tile(layer, z, x, y),
                 None => shared.tiles.get_tile_binned(layer, z, x, y, bin),
             }
             .map_err(HttpError::from_lsga)?;

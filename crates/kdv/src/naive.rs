@@ -45,11 +45,13 @@ pub fn naive_kdv<K: Kernel>(points: &[Point], spec: GridSpec, kernel: K) -> Dens
     grid
 }
 
-/// Compute one raster row of the grid-pruned KDV into `row`.
+/// Compute one raster row of the grid-pruned KDV into `row`, over an
+/// ordered stack of segment indexes sharing one cell decomposition (a
+/// monolithic index is the one-segment stack `&[&index]`).
 ///
-/// Shared by [`grid_pruned_kdv`] and the row-parallel variant so both
-/// produce bit-identical grids. Instead of gathering candidates per
-/// pixel, the row is swept cell-by-cell: the per-pixel candidate
+/// Shared by every grid-pruned entry point and the row-parallel variant
+/// so all produce bit-identical grids. Instead of gathering candidates
+/// per pixel, the row is swept cell-by-cell: the per-pixel candidate
 /// cell-column bounds are monotone non-decreasing across the row, so
 /// each candidate cell serves one contiguous pixel interval, found by
 /// binary search, and contributes through one tiled microkernel call.
@@ -57,32 +59,17 @@ pub fn naive_kdv<K: Kernel>(points: &[Point], spec: GridSpec, kernel: K) -> Dens
 /// `GridIndex::for_each_candidate` order (cell row asc, cell column asc,
 /// entry order), so the result matches the scalar per-pixel loop bit for
 /// bit.
-pub(crate) fn pruned_kdv_row<K: Kernel>(
-    index: &GridIndex,
-    kernel: &K,
-    radius: f64,
-    cutoff_r2: f64,
-    qxs: &[f64],
-    qy: f64,
-    row: &mut [f64],
-) {
-    pruned_kdv_row_multi(&[index], kernel, radius, cutoff_r2, qxs, qy, row);
-}
-
-/// The multi-segment generalization of [`pruned_kdv_row`]: the point
-/// set is an ordered stack of segment indexes sharing one cell
-/// decomposition, and each candidate cell is folded **segment-minor** —
-/// oldest segment's entries first, then the next segment's, and so on.
 ///
-/// That order is not a convention, it is the bit-identity proof: the
-/// monolithic index over the concatenated point sequence buckets each
-/// cell's entries in input order (stable counting sort), which *is*
-/// segment order followed by within-segment entry order. The SoA
-/// microkernel is a strict per-pixel left-fold with the accumulator
-/// carried in `row`, so folding a cell's span as k back-to-back segment
-/// spans produces the same bits as one monolithic span. Hence a single
-/// segment reproduces [`pruned_kdv_row`] exactly, and k segments
-/// reproduce the monolithic rebuild exactly.
+/// Each candidate cell is folded **segment-minor** — oldest segment's
+/// entries first, then the next segment's, and so on. That order is
+/// not a convention, it is the bit-identity proof: the monolithic index
+/// over the concatenated point sequence buckets each cell's entries in
+/// input order (stable counting sort), which *is* segment order
+/// followed by within-segment entry order. The SoA microkernel is a
+/// strict per-pixel left-fold with the accumulator carried in `row`, so
+/// folding a cell's span as k back-to-back segment spans produces the
+/// same bits as one monolithic span. Hence k segments reproduce the
+/// monolithic rebuild exactly.
 ///
 /// Work accounting also matches the monolithic sweep: pair counts sum
 /// to the same total, and a cell counts as pruned iff it serves no
@@ -147,6 +134,39 @@ pub(crate) fn pruned_kdv_row_multi<K: Kernel>(
     obs::add(Counter::KdvCellsPruned, pruned);
 }
 
+/// The whole-raster sweep behind every grid-pruned entry point: one
+/// [`pruned_kdv_row_multi`] call per row over the segment stack. An
+/// all-empty stack yields the zero grid.
+fn pruned_sweep<K: Kernel>(
+    segments: &[&GridIndex],
+    spec: GridSpec,
+    kernel: K,
+    tail_eps: f64,
+) -> DensityGrid {
+    let mut grid = DensityGrid::zeros(spec);
+    if segments.iter().all(|s| s.is_empty()) {
+        return grid;
+    }
+    let radius = kernel.effective_radius(tail_eps);
+    // The mask cutoff must not exceed the support: past it the raw
+    // formula goes negative, which the branchy code never added.
+    let cutoff = (radius * radius).min(kernel.support_sq());
+    let qxs = pixel_xs(&spec);
+    for iy in 0..spec.ny {
+        let qy = spec.row_y(iy);
+        pruned_kdv_row_multi(
+            segments,
+            &kernel,
+            radius,
+            cutoff,
+            &qxs,
+            qy,
+            grid.row_mut(iy),
+        );
+    }
+    grid
+}
+
 /// Grid-pruned exact KDV: bucket the points with cell size equal to the
 /// kernel's effective radius, then evaluate each pixel only against the
 /// ≤ 3×3 cells its support overlaps.
@@ -161,21 +181,12 @@ pub fn grid_pruned_kdv<K: Kernel>(
     tail_eps: f64,
 ) -> DensityGrid {
     let _span = obs::span("kdv.grid_pruned");
-    let mut grid = DensityGrid::zeros(spec);
     if points.is_empty() {
-        return grid;
+        return DensityGrid::zeros(spec);
     }
     let radius = kernel.effective_radius(tail_eps);
     let index = GridIndex::build(points, radius.max(1e-12));
-    // The mask cutoff must not exceed the support: past it the raw
-    // formula goes negative, which the branchy code never added.
-    let cutoff = (radius * radius).min(kernel.support_sq());
-    let qxs = pixel_xs(&spec);
-    for iy in 0..spec.ny {
-        let qy = spec.row_y(iy);
-        pruned_kdv_row(&index, &kernel, radius, cutoff, &qxs, qy, grid.row_mut(iy));
-    }
-    grid
+    pruned_sweep(&[&index], spec, kernel, tail_eps)
 }
 
 /// Grid-pruned exact KDV over a caller-supplied bucket index.
@@ -195,18 +206,7 @@ pub fn grid_pruned_kdv_with_index<K: Kernel>(
     tail_eps: f64,
 ) -> DensityGrid {
     let _span = obs::span("kdv.grid_pruned");
-    let mut grid = DensityGrid::zeros(spec);
-    if index.is_empty() {
-        return grid;
-    }
-    let radius = kernel.effective_radius(tail_eps);
-    let cutoff = (radius * radius).min(kernel.support_sq());
-    let qxs = pixel_xs(&spec);
-    for iy in 0..spec.ny {
-        let qy = spec.row_y(iy);
-        pruned_kdv_row(index, &kernel, radius, cutoff, &qxs, qy, grid.row_mut(iy));
-    }
-    grid
+    pruned_sweep(&[index], spec, kernel, tail_eps)
 }
 
 /// Grid-pruned exact KDV over a tiered segment stack — the entry point
@@ -226,19 +226,8 @@ pub fn grid_pruned_kdv_segmented<K: Kernel>(
     tail_eps: f64,
 ) -> DensityGrid {
     let _span = obs::span("kdv.grid_pruned");
-    let mut grid = DensityGrid::zeros(spec);
-    if segments.is_empty() {
-        return grid;
-    }
-    let radius = kernel.effective_radius(tail_eps);
-    let cutoff = (radius * radius).min(kernel.support_sq());
-    let qxs = pixel_xs(&spec);
     let refs: Vec<&GridIndex> = segments.segments().iter().map(|s| s.as_ref()).collect();
-    for iy in 0..spec.ny {
-        let qy = spec.row_y(iy);
-        pruned_kdv_row_multi(&refs, &kernel, radius, cutoff, &qxs, qy, grid.row_mut(iy));
-    }
-    grid
+    pruned_sweep(&refs, spec, kernel, tail_eps)
 }
 
 #[cfg(test)]

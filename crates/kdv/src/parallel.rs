@@ -10,7 +10,7 @@
 //! for every thread count. The *simulated-cluster* distributed version
 //! (with partitioning and halo accounting) lives in `lsga-dist`.
 
-use crate::naive::{pixel_xs, pruned_kdv_row};
+use crate::naive::{pixel_xs, pruned_kdv_row_multi};
 use lsga_core::par::{par_map_rows, Threads};
 use lsga_core::{DensityGrid, GridSpec, Kernel, Point};
 use lsga_index::GridIndex;
@@ -54,7 +54,7 @@ pub fn parallel_kdv_threads<K: Kernel>(
     let nx = spec.nx;
     par_map_rows(grid.values_mut(), nx, threads, |iy, row| {
         let qy = spec.row_y(iy);
-        pruned_kdv_row(&index, &kernel, radius, cutoff, &qxs, qy, row);
+        pruned_kdv_row_multi(&[&index], &kernel, radius, cutoff, &qxs, qy, row);
     });
     grid
 }

@@ -97,9 +97,9 @@ fn spread_bits(v: u32) -> u64 {
 /// the Z-order space-filling curve.
 #[must_use]
 pub fn z_order_key(coord: TileCoord) -> u64 {
-    // Zoom is clamped to 31 only to keep the shift defined; real
-    // pyramids are bounded far below by `TileServerConfig::max_zoom`.
-    let z = u32::from(coord.z).min(31);
+    // Zoom is clamped to `TileCoord::MAX_ZOOM` only to keep the shift
+    // defined; the server rejects any deeper request.
+    let z = u32::from(coord.z.min(TileCoord::MAX_ZOOM));
     let offset = ((1u64 << (2 * z)) - 1) / 3;
     offset + (spread_bits(coord.x) | (spread_bits(coord.y) << 1))
 }
@@ -270,10 +270,7 @@ impl ClusterServer {
 
     /// Serve one tile at the exact tier from its owning node.
     pub fn get_tile(&self, layer: LayerId, z: u8, x: u32, y: u32) -> Result<Arc<Tile>> {
-        let coord = TileCoord::new(z, x, y);
-        let w = self.route(coord)?;
-        obs::incr(Counter::ClusterRoutedRequests);
-        self.nodes[w].get_tile(layer, z, x, y)
+        self.get_tile_binned(layer, z, x, y, 0)
     }
 
     /// Serve one time-binned tile from its owning node — ownership is

@@ -31,6 +31,13 @@
 //!    loop against a newer snapshot, re-stamping the same prepared
 //!    batch (the KDV segment accounting depends on this split).
 //!
+//! Two capabilities are optional and default to `None`:
+//! [`TileCompute::degrade`], the degraded tier a rejected deadline
+//! request is served (only KDV has one: Eq. 7 sampling and Eq. 6
+//! bounds are KDV approximations; other kinds serve such a request
+//! exactly), and [`TileCompute::segment_depth`], the depth of KDV's
+//! index segment stack.
+//!
 //! # Per-kind bit-identity
 //!
 //! * **KDV** ([`KdvCompute`]) — byte-for-byte the pre-trait path:
@@ -61,13 +68,15 @@ use lsga_core::par::Threads;
 use lsga_core::{AnyKernel, BBox, DensityGrid, GridSpec, Kernel, Point, PolyKernel, TimedPoint};
 use lsga_index::{GridIndex, SegmentedGrid};
 use lsga_kdv::{
-    grid_pruned_kdv_segmented, nkdv_forward, stkdv_sweep_threads, BoundsKdv, NetworkDensity,
+    grid_pruned_kdv_segmented, nkdv_forward, sampling_kdv_segmented, stkdv_sweep_threads,
+    BoundsKdv, NetworkDensity,
 };
 use lsga_network::{EdgePosition, Lixels, RoadNetwork, SegmentIndex};
 use lsga_obs::{self as obs, Counter};
 use lsga_stats::{local_gi_star_threads, local_morans_i_threads, SpatialWeights};
 use std::sync::{Arc, OnceLock};
 
+use crate::policy::{ApproxMode, QualityPolicy, TileTier};
 use crate::segment::compact_tiers;
 
 /// Stable discriminant of a layer's analytic. Part of the cache key
@@ -222,8 +231,6 @@ pub struct AppliedAppend {
     pub merged_segments: u64,
     /// Bytes rewritten by tier compaction (KDV only).
     pub merged_bytes: u64,
-    /// Post-append segment-stack depth (KDV only).
-    pub segment_depth: Option<u64>,
 }
 
 /// An immutable snapshot of one layer's analytic state. See the module
@@ -264,10 +271,16 @@ pub trait TileCompute: Send + Sync {
     /// tile, which the cluster's re-homing planner weighs shipments by.
     fn halo_points(&self, tile_bbox: BBox) -> usize;
 
-    /// Downcast for the KDV-only degraded/refine tiers. Non-KDV layers
-    /// return `None` and deadline requests fall through to the exact
-    /// path.
-    fn as_kdv(&self) -> Option<&KdvCompute> {
+    /// A degraded raster of the tile at `spec` under `policy`'s
+    /// approximation mode, stamped with its tier; `None` if this
+    /// analytic has none, and a rejected deadline request is served
+    /// exactly.
+    fn degrade(&self, _spec: GridSpec, _policy: &QualityPolicy) -> Option<(DensityGrid, TileTier)> {
+        None
+    }
+
+    /// Depth of the layer's index segment stack, if it keeps one.
+    fn segment_depth(&self) -> Option<usize> {
         None
     }
 }
@@ -311,16 +324,16 @@ fn expect_kind<T>(prepared: Option<T>, kind: LayerKind) -> T {
 /// the pre-trait `LayerSnapshot`. Compute, ingest, and the degraded
 /// tiers all run the exact code they ran before the trait existed.
 pub struct KdvCompute {
-    pub(crate) window: BBox,
-    pub(crate) kernel: AnyKernel,
-    pub(crate) tail_eps: f64,
+    window: BBox,
+    kernel: AnyKernel,
+    tail_eps: f64,
     /// Kernel effective radius at `tail_eps` — the invalidation
     /// inflation margin and the index cell size.
-    pub(crate) radius: f64,
-    pub(crate) segments: SegmentedGrid,
+    radius: f64,
+    segments: SegmentedGrid,
     /// Lazily built Eq. 6 kd-tree for `ApproxMode::Bounds` degraded
     /// serves; per-snapshot, so an append naturally invalidates it.
-    pub(crate) bounds: OnceLock<Arc<BoundsKdv>>,
+    bounds: OnceLock<BoundsKdv>,
 }
 
 impl KdvCompute {
@@ -353,15 +366,9 @@ impl KdvCompute {
     }
 
     /// The Eq. 6 index over this snapshot's logical point sequence.
-    pub(crate) fn bounds_index(&self) -> &Arc<BoundsKdv> {
+    fn bounds_index(&self) -> &BoundsKdv {
         self.bounds
-            .get_or_init(|| Arc::new(BoundsKdv::new(&self.segments.collect_points())))
-    }
-
-    /// The layer's segment stack (for degraded computes and depth
-    /// reporting).
-    pub(crate) fn segments(&self) -> &SegmentedGrid {
-        &self.segments
+            .get_or_init(|| BoundsKdv::new(&self.segments.collect_points()))
     }
 }
 
@@ -412,21 +419,18 @@ impl TileCompute for KdvCompute {
         let mut segs: Vec<Arc<GridIndex>> = self.segments.segments().to_vec();
         segs.push(Arc::clone(segment));
         let stats = compact_tiers(&mut segs, threads);
-        let segments = SegmentedGrid::from_segments(segs);
-        let depth = segments.depth() as u64;
         AppliedAppend {
             next: Arc::new(KdvCompute {
                 window: self.window,
                 kernel: self.kernel,
                 tail_eps: self.tail_eps,
                 radius: self.radius,
-                segments,
+                segments: SegmentedGrid::from_segments(segs),
                 bounds: OnceLock::new(),
             }),
             dirty: DirtyRegion::Planar(BBox::of_points(points).inflate(self.radius)),
             merged_segments: stats.merged_segments as u64,
             merged_bytes: stats.merged_bytes() as u64,
-            segment_depth: Some(depth),
         }
     }
 
@@ -439,8 +443,34 @@ impl TileCompute for KdvCompute {
             .sum()
     }
 
-    fn as_kdv(&self) -> Option<&KdvCompute> {
-        Some(self)
+    /// Eq. 7 seeded sampling or the Eq. 6 bound-refined kd-tree, as
+    /// the policy asks; see [`TileTier`] for what each stamp promises.
+    fn degrade(&self, spec: GridSpec, policy: &QualityPolicy) -> Option<(DensityGrid, TileTier)> {
+        let _span = obs::span("serve.degraded_tile");
+        Some(match policy.mode() {
+            ApproxMode::Sampling { eps, delta, seed } => {
+                let n = self.segments.total_len();
+                let m = policy.sample_size();
+                (
+                    sampling_kdv_segmented(&self.segments, spec, self.kernel, m, seed),
+                    TileTier::Sampled {
+                        eps,
+                        delta,
+                        seed,
+                        sample_size: m.min(n),
+                        n,
+                    },
+                )
+            }
+            ApproxMode::Bounds { eps } => (
+                self.bounds_index().compute(spec, self.kernel, eps),
+                TileTier::Bounds { eps },
+            ),
+        })
+    }
+
+    fn segment_depth(&self) -> Option<usize> {
+        Some(self.segments.depth())
     }
 }
 
@@ -635,7 +665,6 @@ impl TileCompute for StkdvCompute {
             },
             merged_segments: 0,
             merged_bytes: 0,
-            segment_depth: None,
         }
     }
 
@@ -835,7 +864,6 @@ impl TileCompute for NkdvCompute {
             dirty: DirtyRegion::Planar(BBox::of_points(world).inflate(self.radius)),
             merged_segments: 0,
             merged_bytes: 0,
-            segment_depth: None,
         }
     }
 
@@ -1067,7 +1095,6 @@ impl TileCompute for HotspotCompute {
             dirty: DirtyRegion::All,
             merged_segments: 0,
             merged_bytes: 0,
-            segment_depth: None,
         }
     }
 

@@ -105,11 +105,14 @@
 //!
 //! # Quality tiers: degrade now, refine later
 //!
-//! [`TileServer::get_tile_with_policy`] adds deadline-aware admission
-//! control in front of the exact path. The server keeps an EWMA of
-//! recent foreground exact-tile compute times and counts the exact
-//! leaders currently computing; a request with a [`QualityPolicy`] is
-//! admitted to the exact path only while
+//! Every tile request takes one routine, `ServerCore::serve`: validate
+//! the coordinate, look up the cache, count the miss, and — for a
+//! request carrying a [`QualityPolicy`]
+//! ([`TileServer::get_tile_with_policy`]) — run deadline-aware
+//! admission control in front of the exact path. The server keeps an
+//! EWMA of recent foreground exact-tile compute times and counts the
+//! exact leaders currently computing; a policy request is admitted to
+//! the exact path only while
 //! `(inflight + 1) × ewma ≤ deadline`. The estimate deliberately
 //! ignores how many workers drain the queue — it is a conservative
 //! serialized-queue model, which keeps the degrade/admit decision (and
@@ -118,14 +121,21 @@
 //! wait behind in-flight leaders is unknown but non-zero, so a
 //! deadline request degrades whenever any exact leader is already
 //! computing; with zero leaders in flight the request is admitted and
-//! its own compute seeds the estimate. Past the budget, the request is served a degraded
-//! tile computed **inline, without joining any flight**: an O(sample)
-//! seeded Eq. 7 evaluation ([`lsga_kdv::sampling_kdv_segmented`]) or
-//! an Eq. 6 bound-refined evaluation, stamped with its [`TileTier`]
-//! metadata. Degraded computes skip the flight table on purpose —
-//! coalescing behind an exact leader is exactly the queue the caller
-//! asked to bypass, and duplicate O(sample) computes are the cheap,
-//! bounded price of never waiting.
+//! its own compute seeds the estimate. Every decision records its
+//! estimate in the `serve.queue_wait` histogram, whatever the layer's
+//! kind.
+//!
+//! Past the budget, the request is served whatever degraded tier the
+//! layer's [`TileCompute::degrade`] offers, computed **inline, without
+//! joining any flight** and stamped with its [`TileTier`] metadata.
+//! KDV offers an O(sample) seeded Eq. 7 evaluation
+//! ([`lsga_kdv::sampling_kdv_segmented`]) or an Eq. 6 bound-refined
+//! evaluation; the other kinds offer none, so a rejected request on
+//! them falls through to the exact flight path like an admitted one.
+//! Degraded computes skip the flight table on purpose — coalescing
+//! behind an exact leader is exactly the queue the caller asked to
+//! bypass, and duplicate O(sample) computes are the cheap, bounded
+//! price of never waiting.
 //!
 //! The tier state machine per cache entry is `absent → degraded →
 //! exact` (or `absent → exact` directly): a degraded insert never
@@ -151,14 +161,14 @@
 use crate::cache::ShardedTileCache;
 use crate::compute::{AppendBatch, DirtyRegion, KdvCompute, LayerKind, TileCompute};
 use crate::flight::{Flight, FlightTable};
-use crate::policy::{ApproxMode, QualityPolicy, TileTier};
+use crate::policy::{QualityPolicy, TileTier};
 use crate::refine::RefineQueue;
 use crate::tile::{tile_bbox, tile_spec, LayerId, Tile, TileCoord, TileKey};
 use lsga_core::error::{LsgaError, Result};
 use lsga_core::par::{par_map, Threads};
 use lsga_core::{AnyKernel, BBox, DensityGrid, GridSpec, Kernel, Point, TimedPoint};
 use lsga_index::GridIndex;
-use lsga_kdv::{grid_pruned_kdv_with_index, sampling_kdv_segmented};
+use lsga_kdv::grid_pruned_kdv_with_index;
 use lsga_obs::{self as obs, Counter, Hist};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -237,7 +247,8 @@ pub enum HookPoint {
 
 type Hook = Arc<dyn Fn(HookPoint) + Send + Sync>;
 
-/// In-memory analytic tile server over KDV layers.
+/// In-memory analytic tile server over layers of any [`TileCompute`]
+/// kind: KDV, STKDV, NKDV and Gi*/LISA hotspots.
 ///
 /// ```
 /// use lsga_core::{BBox, KernelKind, Point};
@@ -340,14 +351,21 @@ impl TileServer {
         kernel: AnyKernel,
         tail_eps: f64,
     ) -> Result<LayerId> {
-        self.core.add_layer(points, window, kernel, tail_eps)
+        let compute = KdvCompute::new(&points, window, kernel, tail_eps)?;
+        self.add_compute_layer(Arc::new(compute))
     }
 
-    /// Register any [`TileCompute`] as a layer and return its id —
-    /// the generic entry point behind [`add_layer`](Self::add_layer)
-    /// that STKDV/NKDV/hotspot layers use directly.
+    /// Register any [`TileCompute`] as a layer at generation zero and
+    /// return its id — the generic entry point behind
+    /// [`add_layer`](Self::add_layer) that STKDV/NKDV/hotspot layers
+    /// use directly.
     pub fn add_compute_layer(&self, compute: Arc<dyn TileCompute>) -> Result<LayerId> {
-        self.core.add_compute_layer(compute)
+        let mut layers = self.core.layers.write().expect("layers poisoned");
+        layers.push(Arc::new(LayerSnapshot {
+            compute,
+            generation: 0,
+        }));
+        Ok(layers.len() - 1)
     }
 
     /// The analytic kind of a registered layer.
@@ -364,7 +382,8 @@ impl TileServer {
     /// wait, or leader compute. A degraded cache entry is a miss for
     /// this path — it never returns approximate bits.
     pub fn get_tile(&self, layer: LayerId, z: u8, x: u32, y: u32) -> Result<Arc<Tile>> {
-        self.core.get_tile(layer, z, x, y, 0)
+        self.core
+            .serve(TileKey::new(layer, TileCoord::new(z, x, y)), None)
     }
 
     /// Serve one tile of a time-binned layer at the exact tier.
@@ -379,13 +398,15 @@ impl TileServer {
         y: u32,
         bin: u32,
     ) -> Result<Arc<Tile>> {
-        self.core.get_tile(layer, z, x, y, bin)
+        self.core
+            .serve(TileKey::binned(layer, TileCoord::new(z, x, y), bin), None)
     }
 
     /// Serve one tile under a deadline: exact while the estimated
-    /// queue wait fits the budget, otherwise a guaranteed-ε degraded
-    /// tile computed inline (see the module docs' tier section). The
-    /// returned tile's [`Tile::tier`] says which happened.
+    /// queue wait fits the budget, otherwise the layer's degraded tier
+    /// computed inline, if its kind has one (see the module docs' tier
+    /// section). The returned tile's [`Tile::tier`] says which
+    /// happened.
     pub fn get_tile_with_policy(
         &self,
         layer: LayerId,
@@ -394,7 +415,8 @@ impl TileServer {
         y: u32,
         policy: &QualityPolicy,
     ) -> Result<Arc<Tile>> {
-        self.core.get_tile_with_policy(layer, z, x, y, policy)
+        self.core
+            .serve(TileKey::new(layer, TileCoord::new(z, x, y)), Some(policy))
     }
 
     /// Serve a batch of tiles for one layer: deduplicates, schedules
@@ -430,15 +452,30 @@ impl TileServer {
         self.core.insert(layer, AppendBatch::Timed(points))
     }
 
-    /// Resident segment count of a layer's index stack — bounded by
-    /// `log_3 n + O(1)` under the tier policy (see [`crate::segment`]).
+    /// Resident segment count of a KDV layer's index stack — bounded
+    /// by `log_3 n + O(1)` under the tier policy (see
+    /// [`crate::segment`]). Kinds without a segment stack
+    /// ([`TileCompute::segment_depth`] is `None`) fail with
+    /// `InvalidParameter`.
     pub fn segment_count(&self, layer: LayerId) -> Result<usize> {
-        self.core.segment_count(layer)
+        let snap = self.core.snapshot(layer)?;
+        snap.compute
+            .segment_depth()
+            .ok_or_else(|| LsgaError::InvalidParameter {
+                name: "layer",
+                message: format!(
+                    "segment_count applies to kdv layers, not {}",
+                    snap.compute.kind().name()
+                ),
+            })
     }
 
     /// Drop every cached tile (counts as eviction).
     pub fn clear_cache(&self) {
-        self.core.clear_cache();
+        let dropped = self.core.cache.clear();
+        if dropped > 0 {
+            obs::add(Counter::ServeTilesEvicted, dropped);
+        }
     }
 
     /// Resident cache bytes (snapshot, for reporting).
@@ -516,32 +553,6 @@ impl Drop for TileServer {
 }
 
 impl ServerCore {
-    /// Register a KDV layer over a fixed `window` and return its id.
-    ///
-    /// The window is the pyramid's extent *and* the index frame every
-    /// future append reuses, so it must be non-empty and contain every
-    /// point — including points inserted later.
-    pub fn add_layer(
-        &self,
-        points: Vec<Point>,
-        window: BBox,
-        kernel: AnyKernel,
-        tail_eps: f64,
-    ) -> Result<LayerId> {
-        let compute = KdvCompute::new(&points, window, kernel, tail_eps)?;
-        self.add_compute_layer(Arc::new(compute))
-    }
-
-    /// Register any [`TileCompute`] as a layer at generation zero.
-    pub fn add_compute_layer(&self, compute: Arc<dyn TileCompute>) -> Result<LayerId> {
-        let mut layers = self.layers.write().expect("layers poisoned");
-        layers.push(Arc::new(LayerSnapshot {
-            compute,
-            generation: 0,
-        }));
-        Ok(layers.len() - 1)
-    }
-
     /// Call the installed hook, if any, outside the hook lock (so the
     /// hook may block, or reinstall itself, without deadlocking).
     fn fire_hook(&self, point: HookPoint) {
@@ -562,11 +573,14 @@ impl ServerCore {
             })
     }
 
+    /// Reject a zoom past `max_zoom` or past [`TileCoord::MAX_ZOOM`]
+    /// (whichever is lower), and a tile outside its level's grid.
     fn validate_coord(&self, coord: TileCoord) -> Result<()> {
-        if coord.z > self.cfg.max_zoom {
+        let max_zoom = self.cfg.max_zoom.min(TileCoord::MAX_ZOOM);
+        if coord.z > max_zoom {
             return Err(LsgaError::InvalidParameter {
                 name: "z",
-                message: format!("zoom {} exceeds max_zoom {}", coord.z, self.cfg.max_zoom),
+                message: format!("zoom {} exceeds max_zoom {max_zoom}", coord.z),
             });
         }
         let n = coord.tiles_per_axis();
@@ -582,19 +596,35 @@ impl ServerCore {
         Ok(())
     }
 
-    /// Serve one tile at the exact tier: cache hit, coalesced wait, or
-    /// leader compute. Uses [`ShardedTileCache::get_exact`], so a
-    /// resident degraded tile is a miss here and gets replaced by the
-    /// leader's exact commit.
-    fn get_tile(&self, layer: LayerId, z: u8, x: u32, y: u32, bin: u32) -> Result<Arc<Tile>> {
-        let coord = TileCoord::new(z, x, y);
-        self.validate_coord(coord)?;
-        let key = TileKey::binned(layer, coord, bin);
-        if let Some(tile) = self.cache.get_exact(&key) {
+    /// The one tile request path (see module docs). Without a policy a
+    /// resident degraded tile is a miss ([`ShardedTileCache::get_exact`])
+    /// and the leader's exact commit replaces it.
+    fn serve(&self, key: TileKey, policy: Option<&QualityPolicy>) -> Result<Arc<Tile>> {
+        self.validate_coord(key.coord)?;
+        let hit = match policy {
+            None => self.cache.get_exact(&key),
+            Some(_) => self.cache.get(&key),
+        };
+        if let Some(tile) = hit {
             obs::incr(Counter::ServeCacheHits);
+            if !tile.tier.is_exact() {
+                // A degraded hit re-arms the upgrade: if an earlier
+                // refinement was discarded under a racing insert, this
+                // retries it at the current generation.
+                let generation = self.snapshot(key.layer)?.generation;
+                self.enqueue_refinement(key, generation);
+            }
             return Ok(tile);
         }
         obs::incr(Counter::ServeCacheMisses);
+
+        if let Some(policy) = policy {
+            if !self.admit(policy) {
+                if let Some(tile) = self.serve_degraded(key, policy)? {
+                    return Ok(tile);
+                }
+            }
+        }
 
         let (flight, leader) = self.flights.join(key);
         if !leader {
@@ -606,51 +636,10 @@ impl ServerCore {
         self.lead_flight(key, &flight)
     }
 
-    /// Deadline-checked request path (see module docs): any-tier cache
-    /// hit, else an admission decision between the exact flight path
-    /// and an inline degraded compute.
-    fn get_tile_with_policy(
-        &self,
-        layer: LayerId,
-        z: u8,
-        x: u32,
-        y: u32,
-        policy: &QualityPolicy,
-    ) -> Result<Arc<Tile>> {
-        let coord = TileCoord::new(z, x, y);
-        self.validate_coord(coord)?;
-        let key = TileKey::new(layer, coord);
-        if let Some(tile) = self.cache.get(&key) {
-            obs::incr(Counter::ServeCacheHits);
-            if !tile.tier.is_exact() {
-                // A degraded hit re-arms the upgrade: if an earlier
-                // refinement was discarded under a racing insert, this
-                // retries it at the current generation.
-                let generation = self.snapshot(layer)?.generation;
-                if !self.refine.push(key, generation) {
-                    obs::incr(Counter::ServeRefineDiscards);
-                }
-            }
-            return Ok(tile);
-        }
-        obs::incr(Counter::ServeCacheMisses);
-
-        // Degraded tiers exist only for KDV layers (Eq. 6/7 are KDV
-        // approximations); every other kind takes the exact flight
-        // path directly, skipping admission control entirely so the
-        // `serve.queue_wait` table stays a KDV-only signal.
-        if self.snapshot(layer)?.compute.as_kdv().is_none() {
-            let (flight, leader) = self.flights.join(key);
-            if !leader {
-                obs::incr(Counter::ServeCoalescedWaits);
-                return flight.wait();
-            }
-            return self.lead_flight(key, &flight);
-        }
-
-        // Admission: a conservative serialized-queue estimate of what
-        // joining the exact path would cost. Deliberately not divided
-        // by any worker count — see module docs.
+    /// Admission control: record the serialized-queue estimate of
+    /// joining the exact path and check it against the deadline. Not
+    /// divided by any worker count — see module docs.
+    fn admit(&self, policy: &QualityPolicy) -> bool {
         let ewma = self.ewma_tile_ns.load(Ordering::Relaxed);
         let depth = self.inflight_exact.load(Ordering::Relaxed) as u64;
         let est_ns = (depth + 1).saturating_mul(ewma);
@@ -658,81 +647,48 @@ impl ServerCore {
         let deadline_ns = policy.deadline().as_nanos().min(u128::from(u64::MAX)) as u64;
         // An unseeded controller (`ewma == 0`) with exact leaders already
         // in flight must not wave a deadline request onto the queue: the
-        // wait is unknown but provably non-zero, so degrade. With no
+        // wait is unknown but provably non-zero, so reject. With no
         // in-flight leaders the request itself becomes the seeding
         // compute, which is the bootstrap path.
-        if (ewma > 0 && est_ns > deadline_ns) || (ewma == 0 && depth > 0) {
-            return self.serve_degraded(key, policy);
+        if ewma == 0 {
+            depth == 0
+        } else {
+            est_ns <= deadline_ns
         }
-
-        let (flight, leader) = self.flights.join(key);
-        if !leader {
-            obs::incr(Counter::ServeCoalescedWaits);
-            return flight.wait();
-        }
-        self.lead_flight(key, &flight)
     }
 
-    /// Compute and serve a guaranteed-ε degraded tile inline — no
-    /// flight, no queue. Commits to the cache (and enqueues the
-    /// background refinement) only if the layer generation is
-    /// unchanged since the snapshot; the caller receives the tile
-    /// either way.
-    fn serve_degraded(&self, key: TileKey, policy: &QualityPolicy) -> Result<Arc<Tile>> {
+    /// Serve the layer's degraded tier inline — no flight, no queue —
+    /// or `None` if its kind has none. Commits to the cache (and
+    /// enqueues the refinement) only if the layer generation is
+    /// unchanged since the snapshot; the caller gets the tile anyway.
+    fn serve_degraded(&self, key: TileKey, policy: &QualityPolicy) -> Result<Option<Arc<Tile>>> {
         let snap = self.snapshot(key.layer)?;
-        let kdv = snap
-            .compute
-            .as_kdv()
-            .expect("degraded tiers are kdv-only; admission checked the kind");
-        let tile = {
-            let _span = obs::span("serve.degraded_tile");
-            let spec = tile_spec(&kdv.window, self.cfg.tile_px, key.coord);
-            let n = kdv.segments().total_len();
-            let (grid, tier) = match policy.mode() {
-                ApproxMode::Sampling { eps, delta, seed } => (
-                    sampling_kdv_segmented(
-                        kdv.segments(),
-                        spec,
-                        kdv.kernel,
-                        policy.sample_size(),
-                        seed,
-                    ),
-                    TileTier::Sampled {
-                        eps,
-                        delta,
-                        seed,
-                        sample_size: policy.sample_size().min(n),
-                        n,
-                    },
-                ),
-                ApproxMode::Bounds { eps } => (
-                    kdv.bounds_index().compute(spec, kdv.kernel, eps),
-                    TileTier::Bounds { eps },
-                ),
-            };
-            obs::incr(Counter::ServeDegradedTiles);
-            Arc::new(Tile { key, grid, tier })
+        let spec = tile_spec(&snap.compute.window(), self.cfg.tile_px, key.coord);
+        let Some((grid, tier)) = snap.compute.degrade(spec, policy) else {
+            return Ok(None);
         };
-        // Commit under the layers lock (read mode suffices — the only
-        // writer to exclude is the insert swap, same as exact commits).
-        let (stale, enqueue) = {
-            let layers = self.layers.read().expect("layers poisoned");
-            if layers[key.layer].generation == snap.generation {
-                // Refused = an exact tile is already resident (a
-                // foreground leader beat us): nothing to refine.
-                (false, self.cache.insert_degraded(key, Arc::clone(&tile)))
-            } else {
-                (true, false)
-            }
-        };
-        if stale {
+        obs::incr(Counter::ServeDegradedTiles);
+        let tile = Arc::new(Tile { key, grid, tier });
+        // `insert_degraded` refuses when an exact tile is already
+        // resident (a foreground leader beat us): nothing to refine.
+        match self.commit_at(key.layer, snap.generation, || {
+            self.cache.insert_degraded(key, Arc::clone(&tile))
+        }) {
+            Some(true) => self.enqueue_refinement(key, snap.generation),
+            Some(false) => {}
             // A racing insert landed mid-compute: these bits are still
             // linearizable for this caller but must not be published.
-            obs::incr(Counter::ServeStaleDiscards);
-        } else if enqueue && !self.refine.push(key, snap.generation) {
+            None => obs::incr(Counter::ServeStaleDiscards),
+        }
+        Ok(Some(tile))
+    }
+
+    /// Queue `key`'s background upgrade at `generation`; a full or
+    /// shut-down queue drops it (`serve.refine_discards`).
+    fn enqueue_refinement(&self, key: TileKey, generation: u64) {
+        if !self.refine.push(key, generation) {
             obs::incr(Counter::ServeRefineDiscards);
         }
-        Ok(tile)
     }
 
     /// One dequeued refinement task: recompute `key` exactly against
@@ -741,47 +697,59 @@ impl ServerCore {
     /// the task moot (every such exit counts `serve.refine_discards`).
     fn process_refinement(&self, key: TileKey, enqueue_generation: u64) {
         self.fire_hook(HookPoint::Refine(key));
-        let Ok(snap) = self.snapshot(key.layer) else {
-            obs::incr(Counter::ServeRefineDiscards);
-            return;
-        };
-        // Raced by an insert since the degraded serve: discarded like
-        // a stale flight. The entry stays degraded until the next
-        // degraded cache hit re-enqueues at the current generation.
-        if snap.generation != enqueue_generation {
-            obs::incr(Counter::ServeRefineDiscards);
-            return;
-        }
-        // Upgraded or evicted already: nothing to do.
-        match self.cache.peek(&key) {
-            Some(t) if !t.tier.is_exact() => {}
+        // An insert raced the degraded serve: discarded like a stale
+        // flight, and the entry stays degraded until the next degraded
+        // cache hit re-enqueues at the current generation. An entry
+        // already upgraded or evicted needs nothing.
+        let snap = match self.snapshot(key.layer) {
+            Ok(snap)
+                if snap.generation == enqueue_generation
+                    && self.cache.peek(&key).is_some_and(|t| !t.tier.is_exact()) =>
+            {
+                snap
+            }
             _ => {
                 obs::incr(Counter::ServeRefineDiscards);
                 return;
             }
-        }
-        let tile = {
-            let _span = obs::span("serve.refine_tile");
-            obs::incr(Counter::ServeTilesComputed);
-            obs::incr(snap.compute.kind().computed_counter());
-            let window = snap.compute.window();
-            let spec = tile_spec(&window, self.cfg.tile_px, key.coord);
-            Arc::new(Tile {
-                key,
-                grid: snap.compute.compute(spec, key.bin),
-                tier: TileTier::Exact,
-            })
         };
-        let layers = self.layers.read().expect("layers poisoned");
-        if layers[key.layer].generation == snap.generation {
-            // May race a foreground exact leader on the same key: both
-            // passed the same generation check, so both hold identical
-            // bits and either commit order serves the same tile.
-            self.cache.insert(key, tile);
-            obs::incr(Counter::ServeRefinedTiles);
-        } else {
-            obs::incr(Counter::ServeRefineDiscards);
+        let tile = self.compute_exact(&snap, key, "serve.refine_tile");
+        // May race a foreground exact leader on the same key: both
+        // passed the same generation check, so both hold identical
+        // bits and either commit order serves the same tile.
+        match self.commit_at(key.layer, snap.generation, || self.cache.insert(key, tile)) {
+            Some(()) => obs::incr(Counter::ServeRefinedTiles),
+            None => obs::incr(Counter::ServeRefineDiscards),
         }
+    }
+
+    /// Compute `key` exactly against `snap` under the span `span`,
+    /// charging `serve.tiles_computed` and the kind's counter — the one
+    /// exact compute behind flight leaders and refinements alike.
+    fn compute_exact(&self, snap: &LayerSnapshot, key: TileKey, span: &'static str) -> Arc<Tile> {
+        let _span = obs::span(span);
+        obs::incr(Counter::ServeTilesComputed);
+        obs::incr(snap.compute.kind().computed_counter());
+        let spec = tile_spec(&snap.compute.window(), self.cfg.tile_px, key.coord);
+        Arc::new(Tile {
+            key,
+            grid: snap.compute.compute(spec, key.bin),
+            tier: TileTier::Exact,
+        })
+    }
+
+    /// Run `commit` under the layers lock iff `layer` is still at
+    /// `generation`; `None` means an insert landed in between. Shared
+    /// mode suffices: the only writer a commit must not interleave
+    /// with is the insert swap, which holds the lock exclusively.
+    fn commit_at<R>(
+        &self,
+        layer: LayerId,
+        generation: u64,
+        commit: impl FnOnce() -> R,
+    ) -> Option<R> {
+        let layers = self.layers.read().expect("layers poisoned");
+        (layers[layer].generation == generation).then(commit)
     }
 
     /// Fold one foreground exact compute's duration into the EWMA
@@ -841,9 +809,23 @@ impl ServerCore {
         let _depth = DepthGuard(&self.inflight_exact);
 
         let tile = loop {
-            // Snapshot the layer; compute runs with no locks held.
-            let snap = match self.snapshot(key.layer) {
-                Ok(s) => s,
+            // Snapshot the layer; compute runs with no locks held. A bin
+            // past the layer's time axis can never be cached, so such a
+            // request always lands here and fails like an unknown layer.
+            // Spatial-only layers serve exactly bin 0.
+            let snap = self.snapshot(key.layer).and_then(|snap| {
+                let bins = snap.compute.time_bins();
+                if key.bin < bins {
+                    Ok(snap)
+                } else {
+                    Err(LsgaError::InvalidParameter {
+                        name: "bin",
+                        message: format!("time bin {} out of range ({bins} bins)", key.bin),
+                    })
+                }
+            });
+            let snap = match snap {
+                Ok(snap) => snap,
                 Err(e) => {
                     // Retire first so racing requests lead fresh
                     // flights, then wake parked waiters with the real
@@ -854,56 +836,24 @@ impl ServerCore {
                     return Err(e);
                 }
             };
-            // A bin past the layer's time axis can never be cached, so
-            // the request always lands here; fail the flight like an
-            // unknown layer. Spatial-only layers serve exactly bin 0.
-            if key.bin >= snap.compute.time_bins() {
-                let e = LsgaError::InvalidParameter {
-                    name: "bin",
-                    message: format!(
-                        "time bin {} out of range ({} bins)",
-                        key.bin,
-                        snap.compute.time_bins()
-                    ),
-                };
-                guard.armed = false;
-                self.flights.complete(&key);
-                flight.fail(e.clone());
-                return Err(e);
-            }
             self.fire_hook(HookPoint::Compute(key));
             let started = Instant::now();
-            let tile = {
-                let _span = obs::span("serve.compute_tile");
-                obs::incr(Counter::ServeTilesComputed);
-                obs::incr(snap.compute.kind().computed_counter());
-                let window = snap.compute.window();
-                let spec = tile_spec(&window, self.cfg.tile_px, key.coord);
-                Arc::new(Tile {
-                    key,
-                    grid: snap.compute.compute(spec, key.bin),
-                    tier: TileTier::Exact,
-                })
-            };
+            let tile = self.compute_exact(&snap, key, "serve.compute_tile");
             self.observe_exact_cost(started.elapsed());
             // Commit: generation re-check, cache insert, and flight
             // retirement form one atomic step against `insert_points`'
-            // swap+invalidate, which holds the lock exclusively. Shared
-            // mode suffices here: the only writer this must not
-            // interleave with is the exclusive swap, and same-key
-            // commits cannot coexist (single-flight — this thread is
-            // the key's only leader). A request arriving after this
-            // point finds the tile in the cache or leads a fresh
-            // flight — it can no longer join this one, so no insert
-            // completing after the commit can make these bits stale
-            // for anyone who receives them.
-            {
-                let layers = self.layers.read().expect("layers poisoned");
-                if layers[key.layer].generation == snap.generation {
-                    self.cache.insert(key, Arc::clone(&tile));
-                    self.flights.complete(&key);
-                    break tile;
-                }
+            // swap+invalidate. Same-key commits cannot coexist
+            // (single-flight — this thread is the key's only leader). A
+            // request arriving after this point finds the tile in the
+            // cache or leads a fresh flight — it can no longer join this
+            // one, so no insert completing after the commit can make
+            // these bits stale for anyone who receives them.
+            let committed = self.commit_at(key.layer, snap.generation, || {
+                self.cache.insert(key, Arc::clone(&tile));
+                self.flights.complete(&key);
+            });
+            if committed.is_some() {
+                break tile;
             }
             // An insert completed between snapshot and commit: a
             // waiter may have joined *after* that insert, so these
@@ -940,11 +890,7 @@ impl ServerCore {
         }
         obs::record(Hist::ServeBatchUniqueTiles, unique.len() as u64);
         let fetched: Vec<Result<Arc<Tile>>> = par_map(unique.len(), 1, self.cfg.threads, |i| {
-            let c = unique[i];
-            match policy {
-                Some(p) => self.get_tile_with_policy(layer, c.z, c.x, c.y, p),
-                None => self.get_tile(layer, c.z, c.x, c.y, 0),
-            }
+            self.serve(TileKey::new(layer, unique[i]), policy)
         });
         let mut tiles: Vec<Option<Arc<Tile>>> = vec![None; unique.len()];
         for (i, r) in fetched.into_iter().enumerate() {
@@ -971,7 +917,7 @@ impl ServerCore {
     /// *same* prepared batch onto the winner's state — successor
     /// assembly against the stale state is discarded, the prepared
     /// batch is not.
-    pub fn insert(&self, layer: LayerId, batch: AppendBatch<'_>) -> Result<()> {
+    fn insert(&self, layer: LayerId, batch: AppendBatch<'_>) -> Result<()> {
         if batch.is_empty() {
             return Err(LsgaError::EmptyDataset("insert_points batch"));
         }
@@ -1029,35 +975,10 @@ impl ServerCore {
                 obs::add(Counter::IngestSegmentsMerged, applied.merged_segments);
                 obs::add(Counter::IngestMergeBytes, applied.merged_bytes);
             }
-            if let Some(depth) = applied.segment_depth {
-                obs::record(Hist::IngestSegmentCount, depth);
+            if let Some(depth) = next_compute.segment_depth() {
+                obs::record(Hist::IngestSegmentCount, depth as u64);
             }
             return Ok(());
-        }
-    }
-
-    /// Resident segment count of a KDV layer's index stack — bounded
-    /// by `log_3 n + O(1)` under the tier policy (see
-    /// [`crate::segment`]). Other kinds have no segment stack.
-    fn segment_count(&self, layer: LayerId) -> Result<usize> {
-        let snap = self.snapshot(layer)?;
-        match snap.compute.as_kdv() {
-            Some(kdv) => Ok(kdv.segments().depth()),
-            None => Err(LsgaError::InvalidParameter {
-                name: "layer",
-                message: format!(
-                    "segment_count applies to kdv layers, not {}",
-                    snap.compute.kind().name()
-                ),
-            }),
-        }
-    }
-
-    /// Drop every cached tile (counts as eviction).
-    fn clear_cache(&self) {
-        let dropped = self.cache.clear();
-        if dropped > 0 {
-            obs::add(Counter::ServeTilesEvicted, dropped);
         }
     }
 }
@@ -1253,6 +1174,36 @@ mod tests {
             .is_err(),
             "empty window"
         );
+    }
+
+    #[test]
+    fn zoom_past_the_coordinate_width_is_rejected_whatever_max_zoom_says() {
+        let s = TileServer::new(TileServerConfig {
+            tile_px: 4,
+            max_zoom: 40,
+            shards: 1,
+            threads: Threads::exact(1),
+            ..TileServerConfig::default()
+        });
+        let layer = s
+            .add_layer(
+                scatter(10),
+                window(),
+                KernelKind::Quartic.with_bandwidth(5.0),
+                1e-9,
+            )
+            .unwrap();
+        let deepest = TileCoord::MAX_ZOOM;
+        assert!(s.get_tile(layer, deepest, 0, 0).is_ok(), "deepest level");
+        for z in [deepest + 1, 40, u8::MAX] {
+            let err = s.get_tile(layer, z, 0, 0).unwrap_err();
+            assert!(
+                matches!(err, LsgaError::InvalidParameter { name: "z", .. }),
+                "zoom {z}: {err:?}"
+            );
+            assert!(s.get_tiles(layer, &[TileCoord::new(z, 0, 0)]).is_err());
+        }
+        assert_eq!(s.cached_tiles(), 1, "no tile cached under a bad zoom");
     }
 
     #[test]

@@ -33,6 +33,11 @@ pub struct TileCoord {
 }
 
 impl TileCoord {
+    /// Deepest zoom level a coordinate can name: level `z` has `2^z`
+    /// tiles per axis, and `x`/`y` are `u32`. The server rejects deeper
+    /// zooms whatever its configured `max_zoom`.
+    pub const MAX_ZOOM: u8 = 31;
+
     /// Construct a coordinate. Validity against a zoom bound is checked
     /// at request time by the server, not here.
     #[must_use]
@@ -40,7 +45,7 @@ impl TileCoord {
         TileCoord { z, x, y }
     }
 
-    /// Tiles per axis at this zoom level.
+    /// Tiles per axis at this zoom level (`z` ≤ [`Self::MAX_ZOOM`]).
     #[must_use]
     pub fn tiles_per_axis(self) -> u32 {
         1u32 << self.z

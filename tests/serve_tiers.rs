@@ -20,11 +20,12 @@
 //! deadline makes every cold policy request degrade.
 
 use lsga::core::par::Threads;
+use lsga::network;
 use lsga::obs;
 use lsga::prelude::*;
 use lsga::serve::{
-    compute_tile_direct, ApproxMode, HookPoint, QualityPolicy, TileCoord, TileServer,
-    TileServerConfig, TileTier,
+    compute_tile_direct, ApproxMode, HookPoint, HotspotCompute, HotspotStat, LayerId, NkdvCompute,
+    QualityPolicy, StkdvCompute, TileCoord, TileServer, TileServerConfig, TileTier,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -458,4 +459,96 @@ fn admitted_requests_serve_exact_bits_under_generous_deadlines() {
     for (a, b) in tile.grid.values().iter().zip(oracle.values()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+}
+
+/// Register one STKDV, one NKDV and one Gi* hotspot layer — the kinds
+/// whose `TileCompute::degrade` offers no degraded tier.
+fn add_non_kdv_layers(s: &TileServer) -> [(&'static str, LayerId); 3] {
+    let timed: Vec<TimedPoint> = points(300)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| TimedPoint::new(p.x, p.y, (i % 50) as f64))
+        .collect();
+    let stkdv = StkdvCompute::new(
+        &timed,
+        window(),
+        KernelKind::Epanechnikov.with_bandwidth(12.0),
+        PolyKernel::new(KernelKind::Quartic, 8.0).unwrap(),
+        0.0,
+        50.0,
+        4,
+        1e-6,
+    )
+    .unwrap();
+    let net = Arc::new(network::grid_network(6, 6, 20.0));
+    let lixels = Arc::new(Lixels::build(&net, 5.0));
+    let events: Vec<EdgePosition> = (0..net.edge_count())
+        .step_by(3)
+        .map(|e| EdgePosition::new(&net, EdgeId(e as u32), 1.0))
+        .collect();
+    let nkdv = NkdvCompute::new(
+        net,
+        lixels,
+        &events,
+        KernelKind::Quartic.with_bandwidth(15.0),
+    )
+    .unwrap();
+    let hotspot =
+        HotspotCompute::new(&points(300), window(), 5, 25.0, HotspotStat::GiStar).unwrap();
+    [
+        ("stkdv", s.add_compute_layer(Arc::new(stkdv)).unwrap()),
+        ("nkdv", s.add_compute_layer(Arc::new(nkdv)).unwrap()),
+        ("hotspot", s.add_compute_layer(Arc::new(hotspot)).unwrap()),
+    ]
+}
+
+#[test]
+fn rejected_deadline_requests_on_kinds_without_a_degraded_tier_serve_exact() {
+    let _g = serialize();
+    // The twin answers the same requests without a policy: the bits
+    // every rejected deadline request must reproduce.
+    let (s, twin) = (server(), server());
+    let layers = add_non_kdv_layers(&s);
+    let twin_layers = add_non_kdv_layers(&twin);
+    let bounds = QualityPolicy::new(Duration::ZERO, ApproxMode::Bounds { eps: 0.1 }).unwrap();
+    obs::reset();
+    obs::enable();
+
+    let mut requests = 0;
+    for ((kind, layer), (_, twin_layer)) in layers.into_iter().zip(twin_layers) {
+        for (c, policy) in [
+            (TileCoord::new(1, 0, 1), sampling_policy(0.1)),
+            (TileCoord::new(2, 2, 1), bounds),
+        ] {
+            // Re-pinned per request: each exact compute folds into the
+            // estimate, and the zero deadline must reject every time.
+            s.set_compute_estimate(Duration::from_secs(1));
+            let tile = s
+                .get_tile_with_policy(layer, c.z, c.x, c.y, &policy)
+                .unwrap();
+            requests += 1;
+            assert!(tile.tier.is_exact(), "{kind}: got {:?}", tile.tier);
+            let exact = twin.get_tile(twin_layer, c.z, c.x, c.y).unwrap();
+            assert_eq!(tile.grid.values().len(), exact.grid.values().len());
+            for (a, b) in tile.grid.values().iter().zip(exact.grid.values()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{kind}: tile {c:?}");
+            }
+            assert!(
+                matches!(s.cached_tier(layer, c.z, c.x, c.y), Some(TileTier::Exact)),
+                "{kind}: cached entry must be exact"
+            );
+        }
+    }
+    s.drain_refinements();
+    let snap = obs::drain();
+    obs::disable();
+    assert_eq!(snap.counter("serve.degraded_tiles"), 0);
+    assert_eq!(snap.counter("serve.refined_tiles"), 0);
+    // Every rejected request still recorded its admission estimate.
+    let queue_wait = snap
+        .histograms()
+        .iter()
+        .find(|h| h.name == "serve.queue_wait")
+        .map_or(0, |h| h.count);
+    assert_eq!(queue_wait, requests);
 }
