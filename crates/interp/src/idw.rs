@@ -4,6 +4,19 @@
 //! A query coinciding with a sample returns that sample's value exactly
 //! (the limit of the weights).
 //!
+//! # Weights
+//!
+//! Every accumulation loop takes its weight `w(d²) = d²^(−power/2)`
+//! from `with_weight!`, which picks the form once per call, outside
+//! the per-pair loop. At `power == 2.0` the weight is the reciprocal
+//! `1.0 / d2`: one IEEE division, correctly rounded, where libm's `pow`
+//! is not (glibc documents up to 0.52 ULP) and costs about ten times as
+//! much. Estimates therefore differ from a `powf` fold in the last bit
+//! of a few weights, well inside 1e-12 relative. Every other power
+//! keeps `d2.powf(−power/2)`. `1/d2` overflows and underflows exactly
+//! where `d2^(−1)` does, so the repair pass below fires on the same
+//! inputs.
+//!
 //! # Numeric robustness
 //!
 //! `w = d2^(−power/2)` overflows to `+inf` once `d2` drops below
@@ -26,6 +39,24 @@ use lsga_core::{DensityGrid, GridSpec, Point};
 use lsga_index::{GridIndex, KdTree};
 use lsga_obs::{self as obs, Counter};
 
+/// Binds `$w` to the IDW weight `d2 ↦ d2^(−power/2)` and evaluates
+/// `$body` with it. The body is instantiated once per weight form, so
+/// the power-2 test runs once per call and the per-pair loop calls a
+/// closure the compiler can inline.
+macro_rules! with_weight {
+    ($power:expr, |$w:ident| $body:expr) => {{
+        let power: f64 = $power;
+        if power == 2.0 {
+            let $w = |d2: f64| 1.0 / d2;
+            $body
+        } else {
+            let e = -0.5 * power;
+            let $w = move |d2: f64| d2.powf(e);
+            $body
+        }
+    }};
+}
+
 /// Exact global IDW — the `O(X·Y·n)` baseline of \[20\].
 pub fn idw_naive(samples: &[(Point, f64)], spec: GridSpec, power: f64) -> DensityGrid {
     idw_naive_threads(samples, spec, power, Threads::auto())
@@ -46,21 +77,23 @@ pub fn idw_naive_threads(
         return grid;
     }
     let soa = PointsSoA::from_samples(samples);
-    par_map_rows(grid.values_mut(), spec.nx, threads, |iy, row| {
-        let qy = spec.row_y(iy);
-        // (qy − y_i)² is shared by every pixel of the row; hoist it.
-        let dy2: Vec<f64> = soa
-            .ys
-            .iter()
-            .map(|y| {
-                let dy = qy - *y;
-                dy * dy
-            })
-            .collect();
-        for (ix, out) in row.iter_mut().enumerate() {
-            *out = idw_from_cols(&soa.xs, &dy2, &soa.ws, spec.col_x(ix), power);
-        }
-        obs::add(Counter::InterpPairs, (soa.xs.len() * row.len()) as u64);
+    with_weight!(power, |weight| {
+        par_map_rows(grid.values_mut(), spec.nx, threads, |iy, row| {
+            let qy = spec.row_y(iy);
+            // (qy − y_i)² is shared by every pixel of the row; hoist it.
+            let dy2: Vec<f64> = soa
+                .ys
+                .iter()
+                .map(|y| {
+                    let dy = qy - *y;
+                    dy * dy
+                })
+                .collect();
+            for (ix, out) in row.iter_mut().enumerate() {
+                *out = idw_from_cols(&soa.xs, &dy2, &soa.ws, spec.col_x(ix), weight, power);
+            }
+            obs::add(Counter::InterpPairs, (soa.xs.len() * row.len()) as u64);
+        })
     });
     grid
 }
@@ -69,7 +102,14 @@ pub fn idw_naive_threads(
 /// the squared distance precomputed. Same fold order and exact-hit
 /// short-circuit as the point-at-a-time loop it replaced; a non-finite
 /// or vanished accumulator diverts to the [`idw_stable`] repair pass.
-fn idw_from_cols(xs: &[f64], dy2: &[f64], zs: &[f64], qx: f64, power: f64) -> f64 {
+fn idw_from_cols(
+    xs: &[f64],
+    dy2: &[f64],
+    zs: &[f64],
+    qx: f64,
+    weight: impl Fn(f64) -> f64,
+    power: f64,
+) -> f64 {
     let mut num = 0.0;
     let mut den = 0.0;
     for ((x, d), z) in xs.iter().zip(dy2).zip(zs) {
@@ -78,7 +118,7 @@ fn idw_from_cols(xs: &[f64], dy2: &[f64], zs: &[f64], qx: f64, power: f64) -> f6
         if d2 == 0.0 {
             return *z;
         }
-        let w = d2.powf(-0.5 * power);
+        let w = weight(d2);
         num += w * z;
         den += w;
     }
@@ -152,36 +192,46 @@ pub fn idw_knn_threads(
     }
     let pts: Vec<Point> = samples.iter().map(|(p, _)| *p).collect();
     let tree = KdTree::build(&pts);
-    par_map_rows(grid.values_mut(), spec.nx, threads, |iy, row| {
-        let qy = spec.row_y(iy);
-        // Row-local neighbour columns, reused across the row's pixels.
-        let mut nxs: Vec<f64> = Vec::with_capacity(k);
-        let mut nys: Vec<f64> = Vec::with_capacity(k);
-        let mut nzs: Vec<f64> = Vec::with_capacity(k);
-        let mut gathered: u64 = 0;
-        for (ix, out) in row.iter_mut().enumerate() {
-            let q = Point::new(spec.col_x(ix), qy);
-            let nbrs = tree.knn(&q, k);
-            gathered += nbrs.len() as u64;
-            nxs.clear();
-            nys.clear();
-            nzs.clear();
-            for (i, _) in &nbrs {
-                let (p, z) = samples[*i as usize];
-                nxs.push(p.x);
-                nys.push(p.y);
-                nzs.push(z);
+    with_weight!(power, |weight| {
+        par_map_rows(grid.values_mut(), spec.nx, threads, |iy, row| {
+            let qy = spec.row_y(iy);
+            // Row-local neighbour columns, reused across the row's pixels.
+            let mut nxs: Vec<f64> = Vec::with_capacity(k);
+            let mut nys: Vec<f64> = Vec::with_capacity(k);
+            let mut nzs: Vec<f64> = Vec::with_capacity(k);
+            let mut gathered: u64 = 0;
+            for (ix, out) in row.iter_mut().enumerate() {
+                let q = Point::new(spec.col_x(ix), qy);
+                let nbrs = tree.knn(&q, k);
+                gathered += nbrs.len() as u64;
+                nxs.clear();
+                nys.clear();
+                nzs.clear();
+                for (i, _) in &nbrs {
+                    let (p, z) = samples[*i as usize];
+                    nxs.push(p.x);
+                    nys.push(p.y);
+                    nzs.push(z);
+                }
+                *out = idw_gathered(&nxs, &nys, &nzs, q.x, q.y, weight, power);
             }
-            *out = idw_gathered(&nxs, &nys, &nzs, q.x, q.y, power);
-        }
-        obs::add(Counter::InterpPairs, gathered);
+            obs::add(Counter::InterpPairs, gathered);
+        })
     });
     grid
 }
 
 /// IDW estimate at one query from gathered neighbour columns —
 /// bit-identical to [`idw_from_cols`] for the same sample order.
-fn idw_gathered(xs: &[f64], ys: &[f64], zs: &[f64], qx: f64, qy: f64, power: f64) -> f64 {
+fn idw_gathered(
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    qx: f64,
+    qy: f64,
+    weight: impl Fn(f64) -> f64,
+    power: f64,
+) -> f64 {
     let mut num = 0.0;
     let mut den = 0.0;
     for ((x, y), z) in xs.iter().zip(ys).zip(zs) {
@@ -191,7 +241,7 @@ fn idw_gathered(xs: &[f64], ys: &[f64], zs: &[f64], qx: f64, qy: f64, power: f64
         if d2 == 0.0 {
             return *z;
         }
-        let w = d2.powf(-0.5 * power);
+        let w = weight(d2);
         num += w * z;
         den += w;
     }
@@ -254,64 +304,66 @@ pub fn idw_radius_threads(
         .map(|&i| samples[i as usize].1)
         .collect();
     let (exs, eys) = (index.entry_xs(), index.entry_ys());
-    par_map_rows(grid.values_mut(), spec.nx, threads, |iy, row| {
-        let qy = spec.row_y(iy);
-        let mut scanned: u64 = 0;
-        for (ix, out) in row.iter_mut().enumerate() {
-            let qx = spec.col_x(ix);
-            let (cx0, cx1) = index.cell_col_range(qx - radius, qx + radius);
-            let (cy0, cy1) = index.cell_row_range(qy - radius, qy + radius);
-            let mut num = 0.0;
-            let mut den = 0.0;
-            let mut any = false;
-            let mut exact = None;
-            'cells: for cy in cy0..=cy1 {
-                for k in index.row_span(cy, cx0, cx1) {
-                    scanned += 1;
-                    let dx = qx - exs[k];
-                    let dy = qy - eys[k];
-                    let d2 = dx * dx + dy * dy;
-                    if d2 <= r2 {
-                        let z = ezs[k];
-                        if d2 == 0.0 {
-                            exact = Some(z);
-                            break 'cells;
-                        }
-                        any = true;
-                        let w = d2.powf(-0.5 * power);
-                        num += w * z;
-                        den += w;
-                    }
-                }
-            }
-            *out = if let Some(z) = exact {
-                z
-            } else if !any {
-                let q = Point::new(qx, qy);
-                let nn = tree.knn(&q, 1);
-                samples[nn[0].0 as usize].1
-            } else if num.is_finite() && den.is_finite() && den > 0.0 {
-                num / den
-            } else {
-                // Rare repair pass: rescan the same spans with the
-                // log-space accumulation. `exact` is None here, so
-                // every in-range d2 is positive.
-                obs::incr(Counter::NumericAnomalies);
-                let mut pairs: Vec<(f64, f64)> = Vec::new();
-                for cy in cy0..=cy1 {
+    with_weight!(power, |weight| {
+        par_map_rows(grid.values_mut(), spec.nx, threads, |iy, row| {
+            let qy = spec.row_y(iy);
+            let mut scanned: u64 = 0;
+            for (ix, out) in row.iter_mut().enumerate() {
+                let qx = spec.col_x(ix);
+                let (cx0, cx1) = index.cell_col_range(qx - radius, qx + radius);
+                let (cy0, cy1) = index.cell_row_range(qy - radius, qy + radius);
+                let mut num = 0.0;
+                let mut den = 0.0;
+                let mut any = false;
+                let mut exact = None;
+                'cells: for cy in cy0..=cy1 {
                     for k in index.row_span(cy, cx0, cx1) {
+                        scanned += 1;
                         let dx = qx - exs[k];
                         let dy = qy - eys[k];
                         let d2 = dx * dx + dy * dy;
                         if d2 <= r2 {
-                            pairs.push((d2, ezs[k]));
+                            let z = ezs[k];
+                            if d2 == 0.0 {
+                                exact = Some(z);
+                                break 'cells;
+                            }
+                            any = true;
+                            let w = weight(d2);
+                            num += w * z;
+                            den += w;
                         }
                     }
                 }
-                idw_stable(&pairs, power)
-            };
-        }
-        obs::add(Counter::InterpPairs, scanned);
+                *out = if let Some(z) = exact {
+                    z
+                } else if !any {
+                    let q = Point::new(qx, qy);
+                    let nn = tree.knn(&q, 1);
+                    samples[nn[0].0 as usize].1
+                } else if num.is_finite() && den.is_finite() && den > 0.0 {
+                    num / den
+                } else {
+                    // Rare repair pass: rescan the same spans with the
+                    // log-space accumulation. `exact` is None here, so
+                    // every in-range d2 is positive.
+                    obs::incr(Counter::NumericAnomalies);
+                    let mut pairs: Vec<(f64, f64)> = Vec::new();
+                    for cy in cy0..=cy1 {
+                        for k in index.row_span(cy, cx0, cx1) {
+                            let dx = qx - exs[k];
+                            let dy = qy - eys[k];
+                            let d2 = dx * dx + dy * dy;
+                            if d2 <= r2 {
+                                pairs.push((d2, ezs[k]));
+                            }
+                        }
+                    }
+                    idw_stable(&pairs, power)
+                };
+            }
+            obs::add(Counter::InterpPairs, scanned);
+        })
     });
     grid
 }

@@ -27,7 +27,9 @@ pub struct KrigingPrediction {
 ///
 /// Duplicate sample locations make the kriging matrix singular; such
 /// inputs surface as [`LsgaError::SingularSystem`]. Fewer samples than
-/// `neighborhood` simply uses them all; at least one sample is required.
+/// `neighborhood` simply uses them all; at least one sample is required
+/// ([`LsgaError::EmptyDataset`]) and `neighborhood == 0` is
+/// [`LsgaError::InvalidParameter`].
 pub fn ordinary_kriging(
     samples: &[(Point, f64)],
     spec: GridSpec,
@@ -51,7 +53,12 @@ pub fn ordinary_kriging_threads(
     if samples.is_empty() {
         return Err(LsgaError::EmptyDataset("kriging samples"));
     }
-    assert!(neighborhood >= 1, "neighbourhood must be at least 1");
+    if neighborhood == 0 {
+        return Err(LsgaError::InvalidParameter {
+            name: "neighborhood",
+            message: "must be at least 1".into(),
+        });
+    }
     let _span = obs::span("interp.kriging");
     let pts: Vec<Point> = samples.iter().map(|(p, _)| *p).collect();
     let tree = KdTree::build(&pts);
@@ -335,6 +342,21 @@ mod tests {
             ordinary_kriging(&[], spec(), &model(), 4),
             Err(LsgaError::EmptyDataset(_))
         ));
+    }
+
+    #[test]
+    fn zero_neighborhood_is_invalid_parameter() {
+        let r = ordinary_kriging(&smooth_samples(), spec(), &model(), 0);
+        assert!(
+            matches!(
+                r,
+                Err(LsgaError::InvalidParameter {
+                    name: "neighborhood",
+                    ..
+                })
+            ),
+            "{r:?}"
+        );
     }
 
     #[test]

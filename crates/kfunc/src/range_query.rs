@@ -81,9 +81,12 @@ pub fn histogram_k_all(points: &[Point], thresholds: &[f64], cfg: KConfig) -> Ve
 }
 
 /// [`histogram_k_all`] with an explicit [`Threads`] config. The pair
-/// sweep runs over parallel source-point chunks whose per-chunk
-/// histograms are summed in chunk order — integer counts, so the result
-/// is identical for any thread count.
+/// sweep runs over parallel chunks of source points, taken in the
+/// index's entry order, whose per-chunk histograms are summed in chunk
+/// order — integer counts, so the result is identical for any thread
+/// count. A source scans only the candidates after it in entry order;
+/// two points within `s_max` lie in each other's cell window, so each
+/// unordered pair is still seen exactly once.
 pub fn histogram_k_all_threads(
     points: &[Point],
     thresholds: &[f64],
@@ -126,29 +129,25 @@ pub fn histogram_k_all_threads(
             let mut d2s = [0.0f64; TILE];
             let exs = index_ref.entry_xs();
             let eys = index_ref.entry_ys();
-            let ents = index_ref.entries();
-            for i in range {
-                let p = &points[i];
-                let (cx0, cx1) = index_ref.cell_col_range(p.x - s_max, p.x + s_max);
-                let (cy0, cy1) = index_ref.cell_row_range(p.y - s_max, p.y + s_max);
+            for k in range {
+                let (px, py) = (exs[k], eys[k]);
+                let (cx0, cx1) = index_ref.cell_col_range(px - s_max, px + s_max);
+                let (cy0, cy1) = index_ref.cell_row_range(py - s_max, py + s_max);
                 for cy in cy0..=cy1 {
+                    // Each unordered pair once: partners after the source.
                     let span = index_ref.row_span(cy, cx0, cx1);
-                    let mut s0 = span.start;
+                    let mut s0 = span.start.max(k + 1);
                     while s0 < span.end {
                         let s1 = (s0 + TILE).min(span.end);
                         let len = s1 - s0;
                         scanned += len as u64;
-                        distances_sq_tile(p.x, p.y, &exs[s0..s1], &eys[s0..s1], &mut d2s[..len]);
-                        for (k, &j) in ents[s0..s1].iter().enumerate() {
-                            // Each unordered pair once: require j > i.
-                            if (j as usize) > i {
-                                let d2 = d2s[k];
-                                if d2 <= s_max2 {
-                                    let d = d2.sqrt();
-                                    let bucket = sorted_ref.partition_point(|t| *t < d);
-                                    if bucket < local.len() {
-                                        local[bucket] += 2; // ordered pairs
-                                    }
+                        distances_sq_tile(px, py, &exs[s0..s1], &eys[s0..s1], &mut d2s[..len]);
+                        for &d2 in &d2s[..len] {
+                            if d2 <= s_max2 {
+                                let d = d2.sqrt();
+                                let bucket = sorted_ref.partition_point(|t| *t < d);
+                                if bucket < local.len() {
+                                    local[bucket] += 2; // ordered pairs
                                 }
                             }
                         }
