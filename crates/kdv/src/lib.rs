@@ -57,7 +57,7 @@ pub use equal_split::nkdv_equal_split;
 pub use naive::{
     grid_pruned_kdv, grid_pruned_kdv_segmented, grid_pruned_kdv_with_index, naive_kdv,
 };
-pub use nkdv::{nkdv_forward, nkdv_naive, NetworkDensity};
+pub use nkdv::{nkdv_forward, nkdv_naive, validate_nkdv_inputs, NetworkDensity};
 pub use parallel::{parallel_kdv, parallel_kdv_threads};
 pub use safe::{independent_multi_bandwidth, safe_multi_bandwidth};
 pub use sampling::{sample_size_for_guarantee, sampling_kdv, sampling_kdv_segmented};

@@ -94,8 +94,10 @@ fn dist_via_endpoints(
 /// produce NaN: an empty lixelization (no raster to write), a kernel
 /// whose effective support is non-finite or non-positive (a non-finite
 /// or degenerate bandwidth), and events referencing edges outside the
-/// network or carrying non-finite offsets.
-fn validate_nkdv_inputs(
+/// network or carrying non-finite offsets. `radius` is the kernel's
+/// effective radius at [`crate::DEFAULT_TAIL_EPS`], the support every
+/// NKDV method truncates at.
+pub fn validate_nkdv_inputs(
     net: &RoadNetwork,
     lixels: &Lixels,
     events: &[EdgePosition],

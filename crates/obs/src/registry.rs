@@ -85,8 +85,8 @@ pub enum Counter {
     /// entry was already exact, or the bounded queue overflowed.
     ServeRefineDiscards,
     /// Append segments built by the ingest path — exactly one per
-    /// `insert_points` batch, however many CAS retries it takes (the
-    /// segment is re-stamped, never rebuilt, on a generation conflict).
+    /// committed KDV `insert_points` batch (a server runs one append at
+    /// a time, and a validated append always commits).
     IngestSegmentsCreated,
     /// Segments consumed by tier compactions (a k-way merge counts k).
     IngestSegmentsMerged,

@@ -19,17 +19,16 @@
 //!    pure function of `(layer state, spec, bin)` — same bits on every
 //!    call, for every thread count. Each implementation below
 //!    discharges this with a fixed fold order (see the per-kind notes).
-//! 2. **Sound dirty regions.** [`TileCompute::apply_append`] returns a
+//! 2. **Sound dirty regions.** [`TileCompute::append`] returns a
 //!    [`DirtyRegion`] that *over-approximates* every tile whose bits
 //!    the batch can change. A cached tile outside the region is
 //!    provably still exact, so the server's sweep-on-append coherence
 //!    argument (see [`crate::server`]) holds verbatim per kind.
-//! 3. **Append = successor snapshot.** Appends never mutate; they
-//!    build a successor compute. The expensive part runs once in
-//!    [`TileCompute::prepare_append`]; the cheap
-//!    [`TileCompute::apply_append`] may be retried by the server's CAS
-//!    loop against a newer snapshot, re-stamping the same prepared
-//!    batch (the KDV segment accounting depends on this split).
+//! 3. **Append = successor snapshot.** Appends never mutate; one
+//!    [`TileCompute::append`] call validates the batch and builds the
+//!    successor compute. The server runs one append at a time and
+//!    always commits its result, so each batch is validated, indexed
+//!    and accounted exactly once.
 //!
 //! Two capabilities are optional and default to `None`:
 //! [`TileCompute::degrade`], the degraded tier a rejected deadline
@@ -69,10 +68,10 @@ use lsga_core::{AnyKernel, BBox, DensityGrid, GridSpec, Kernel, Point, PolyKerne
 use lsga_index::{GridIndex, SegmentedGrid};
 use lsga_kdv::{
     grid_pruned_kdv_segmented, nkdv_forward, sampling_kdv_segmented, stkdv_sweep_threads,
-    BoundsKdv, NetworkDensity,
+    validate_nkdv_inputs, BoundsKdv, NetworkDensity,
 };
 use lsga_network::{EdgePosition, Lixels, RoadNetwork, SegmentIndex};
-use lsga_obs::{self as obs, Counter};
+use lsga_obs::{self as obs, Counter, Hist};
 use lsga_stats::{local_gi_star_threads, local_morans_i_threads, SpatialWeights};
 use std::sync::{Arc, OnceLock};
 
@@ -192,45 +191,13 @@ pub enum DirtyRegion {
     SpaceTime { bbox: BBox, t_lo: f64, t_hi: f64 },
 }
 
-/// Batch state produced once per append by
-/// [`TileCompute::prepare_append`] — the expensive, validated part
-/// (segment index, snapped events). The server's CAS loop may apply it
-/// several times, but never rebuilds it.
-pub enum PreparedAppend {
-    /// KDV: the batch's immutable index segment plus the raw points
-    /// (for the dirty box).
-    Kdv {
-        /// The one and only index build for this batch.
-        segment: Arc<GridIndex>,
-        /// Batch points, for the support-inflated dirty box.
-        points: Vec<Point>,
-    },
-    /// STKDV: the validated timed batch.
-    Stkdv(Vec<TimedPoint>),
-    /// NKDV: events snapped onto the network, plus their world
-    /// coordinates (for the dirty box).
-    Nkdv {
-        /// Snapped on-network positions, in batch order.
-        events: Vec<EdgePosition>,
-        /// World coordinates of the snapped positions.
-        world: Vec<Point>,
-    },
-    /// Hotspot: the validated planar batch.
-    Hotspot(Vec<Point>),
-}
-
-/// Result of applying a prepared batch to a snapshot: the successor
-/// compute, the dirty region, and the ingest accounting the server
-/// publishes only for the committed attempt.
+/// Result of appending a batch to a snapshot: the successor compute
+/// and the tiles the batch dirtied.
 pub struct AppliedAppend {
     /// The successor snapshot state.
     pub next: Arc<dyn TileCompute>,
     /// Over-approximation of the dirtied tile keys.
     pub dirty: DirtyRegion,
-    /// Segments consumed by tier compaction (KDV only; 0 otherwise).
-    pub merged_segments: u64,
-    /// Bytes rewritten by tier compaction (KDV only).
-    pub merged_bytes: u64,
 }
 
 /// An immutable snapshot of one layer's analytic state. See the module
@@ -258,13 +225,10 @@ pub trait TileCompute: Send + Sync {
     /// state, and thread count.
     fn compute(&self, spec: GridSpec, bin: u32) -> DensityGrid;
 
-    /// Validate and preprocess a batch once. Errors reject the whole
-    /// append before any state changes.
-    fn prepare_append(&self, batch: AppendBatch<'_>) -> Result<PreparedAppend>;
-
-    /// Apply a prepared batch to *this* snapshot (which may be newer
-    /// than the one that prepared it), producing the successor.
-    fn apply_append(&self, prepared: &PreparedAppend, threads: Threads) -> AppliedAppend;
+    /// Validate `batch` and build the successor snapshot with it
+    /// appended. An error rejects the whole append before any state
+    /// changes; on success the server always commits the result.
+    fn append(&self, batch: AppendBatch<'_>, threads: Threads) -> Result<AppliedAppend>;
 
     /// Records whose planar position lies in `tile_bbox` inflated by
     /// the layer's own support — the halo a node needs to serve the
@@ -305,15 +269,6 @@ fn validate_finite_in_window(points: &[Point], window: &BBox) -> Result<()> {
 
 fn count_in(points: impl Iterator<Item = Point>, halo: BBox) -> usize {
     points.filter(|p| halo.contains(p)).count()
-}
-
-fn expect_kind<T>(prepared: Option<T>, kind: LayerKind) -> T {
-    prepared.unwrap_or_else(|| {
-        panic!(
-            "prepared batch of the wrong kind applied to a {} layer",
-            kind.name()
-        )
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -385,7 +340,10 @@ impl TileCompute for KdvCompute {
         grid_pruned_kdv_segmented(&self.segments, spec, self.kernel, self.tail_eps)
     }
 
-    fn prepare_append(&self, batch: AppendBatch<'_>) -> Result<PreparedAppend> {
+    /// Indexes the batch as one new segment (window, kernel and
+    /// tail_eps are fixed at registration, so its geometry is valid for
+    /// every later generation), then runs tier compaction.
+    fn append(&self, batch: AppendBatch<'_>, threads: Threads) -> Result<AppliedAppend> {
         let AppendBatch::Planar(points) = batch else {
             return Err(LsgaError::InvalidParameter {
                 name: "batch",
@@ -393,45 +351,27 @@ impl TileCompute for KdvCompute {
             });
         };
         validate_finite_in_window(points, &self.window)?;
-        // The one and only index build for this batch. Window, kernel,
-        // and tail_eps are fixed at registration, so the segment's
-        // geometry is valid for every future generation too.
-        let segment = Arc::new(GridIndex::with_bbox(
+        let mut segs: Vec<Arc<GridIndex>> = self.segments.segments().to_vec();
+        segs.push(Arc::new(GridIndex::with_bbox(
             points,
             self.radius.max(1e-12),
             self.window,
-        ));
+        )));
         obs::incr(Counter::IngestSegmentsCreated);
-        Ok(PreparedAppend::Kdv {
-            segment,
-            points: points.to_vec(),
-        })
-    }
-
-    fn apply_append(&self, prepared: &PreparedAppend, threads: Threads) -> AppliedAppend {
-        let (segment, points) = expect_kind(
-            match prepared {
-                PreparedAppend::Kdv { segment, points } => Some((segment, points)),
-                _ => None,
-            },
-            self.kind(),
-        );
-        let mut segs: Vec<Arc<GridIndex>> = self.segments.segments().to_vec();
-        segs.push(Arc::clone(segment));
         let stats = compact_tiers(&mut segs, threads);
-        AppliedAppend {
+        if stats.merged_segments > 0 {
+            obs::add(Counter::IngestSegmentsMerged, stats.merged_segments as u64);
+            obs::add(Counter::IngestMergeBytes, stats.merged_bytes() as u64);
+        }
+        obs::record(Hist::IngestSegmentCount, segs.len() as u64);
+        Ok(AppliedAppend {
             next: Arc::new(KdvCompute {
-                window: self.window,
-                kernel: self.kernel,
-                tail_eps: self.tail_eps,
-                radius: self.radius,
                 segments: SegmentedGrid::from_segments(segs),
                 bounds: OnceLock::new(),
+                ..*self
             }),
             dirty: DirtyRegion::Planar(BBox::of_points(points).inflate(self.radius)),
-            merged_segments: stats.merged_segments as u64,
-            merged_bytes: stats.merged_bytes() as u64,
-        }
+        })
     }
 
     fn halo_points(&self, tile_bbox: BBox) -> usize {
@@ -618,25 +558,14 @@ impl TileCompute for StkdvCompute {
         cube.slice(bin as usize)
     }
 
-    fn prepare_append(&self, batch: AppendBatch<'_>) -> Result<PreparedAppend> {
-        let AppendBatch::Timed(points) = batch else {
+    fn append(&self, batch: AppendBatch<'_>, _threads: Threads) -> Result<AppliedAppend> {
+        let AppendBatch::Timed(batch) = batch else {
             return Err(LsgaError::InvalidParameter {
                 name: "batch",
                 message: "stkdv layers take timed points; use insert_timed_points".into(),
             });
         };
-        self.validate_timed(points)?;
-        Ok(PreparedAppend::Stkdv(points.to_vec()))
-    }
-
-    fn apply_append(&self, prepared: &PreparedAppend, _threads: Threads) -> AppliedAppend {
-        let batch = expect_kind(
-            match prepared {
-                PreparedAppend::Stkdv(points) => Some(points),
-                _ => None,
-            },
-            self.kind(),
-        );
+        self.validate_timed(batch)?;
         let mut points = self.points.clone();
         points.extend_from_slice(batch);
         let spatial: Vec<Point> = batch.iter().map(|p| p.point).collect();
@@ -646,26 +575,14 @@ impl TileCompute for StkdvCompute {
             t_hi = t_hi.max(p.t);
         }
         let bt = self.temporal.bandwidth();
-        AppliedAppend {
-            next: Arc::new(StkdvCompute {
-                window: self.window,
-                spatial: self.spatial,
-                temporal: self.temporal,
-                tail_eps: self.tail_eps,
-                radius: self.radius,
-                t_min: self.t_min,
-                t_max: self.t_max,
-                nt: self.nt,
-                points,
-            }),
+        Ok(AppliedAppend {
+            next: Arc::new(StkdvCompute { points, ..*self }),
             dirty: DirtyRegion::SpaceTime {
                 bbox: BBox::of_points(&spatial).inflate(self.radius),
                 t_lo: t_lo - bt,
                 t_hi: t_hi + bt,
             },
-            merged_segments: 0,
-            merged_bytes: 0,
-        }
+        })
     }
 
     fn halo_points(&self, tile_bbox: BBox) -> usize {
@@ -764,33 +681,16 @@ impl NkdvCompute {
         events: &[EdgePosition],
         kernel: AnyKernel,
     ) -> Result<Self> {
-        if lixels.is_empty() {
-            return Err(LsgaError::InvalidParameter {
-                name: "lixels",
-                message: "nkdv layer needs a non-empty lixelization".into(),
-            });
-        }
+        // The check `nkdv_forward` runs, so the lazy `density()` can
+        // never fail on registered (or snapped) events.
         let radius = kernel.effective_radius(lsga_kdv::DEFAULT_TAIL_EPS);
-        if !(radius.is_finite() && radius > 0.0) {
-            return Err(LsgaError::InvalidParameter {
-                name: "bandwidth",
-                message: format!("kernel support must be finite and positive, got {radius}"),
-            });
-        }
+        validate_nkdv_inputs(&net, &lixels, events, radius)?;
         let window = net.bbox().inflate(radius.max(1e-9));
         if window.is_empty() || window.width() <= 0.0 || window.height() <= 0.0 {
             return Err(LsgaError::InvalidParameter {
                 name: "network",
                 message: "network bbox is degenerate; cannot frame a tile pyramid".into(),
             });
-        }
-        for (i, ev) in events.iter().enumerate() {
-            if ev.edge.0 as usize >= net.edge_count() || !ev.offset.is_finite() {
-                return Err(LsgaError::InvalidParameter {
-                    name: "events",
-                    message: format!("event {i} references an invalid edge position"),
-                });
-            }
         }
         let snap = Arc::new(nkdv_snap_index(&net, &lixels));
         Ok(NkdvCompute {
@@ -828,43 +728,28 @@ impl TileCompute for NkdvCompute {
         rasterize_lixel_values(&self.net, &self.lixels, self.density().values(), spec)
     }
 
-    fn prepare_append(&self, batch: AppendBatch<'_>) -> Result<PreparedAppend> {
+    fn append(&self, batch: AppendBatch<'_>, _threads: Threads) -> Result<AppliedAppend> {
         let AppendBatch::Planar(points) = batch else {
             return Err(LsgaError::InvalidParameter {
                 name: "batch",
                 message: "nkdv layers take planar points (snapped to the network)".into(),
             });
         };
-        let events = snap_batch(&self.net, &self.snap, points)?;
-        let world = events.iter().map(|ev| ev.point(&self.net)).collect();
-        Ok(PreparedAppend::Nkdv { events, world })
-    }
-
-    fn apply_append(&self, prepared: &PreparedAppend, _threads: Threads) -> AppliedAppend {
-        let (batch, world) = expect_kind(
-            match prepared {
-                PreparedAppend::Nkdv { events, world } => Some((events, world)),
-                _ => None,
-            },
-            self.kind(),
-        );
+        let batch = snap_batch(&self.net, &self.snap, points)?;
+        let world: Vec<Point> = batch.iter().map(|ev| ev.point(&self.net)).collect();
         let mut events = self.events.clone();
-        events.extend_from_slice(batch);
-        AppliedAppend {
+        events.extend_from_slice(&batch);
+        Ok(AppliedAppend {
             next: Arc::new(NkdvCompute {
                 net: Arc::clone(&self.net),
                 lixels: Arc::clone(&self.lixels),
                 snap: Arc::clone(&self.snap),
-                kernel: self.kernel,
-                radius: self.radius,
-                window: self.window,
                 events,
                 density: OnceLock::new(),
+                ..*self
             }),
-            dirty: DirtyRegion::Planar(BBox::of_points(world).inflate(self.radius)),
-            merged_segments: 0,
-            merged_bytes: 0,
-        }
+            dirty: DirtyRegion::Planar(BBox::of_points(&world).inflate(self.radius)),
+        })
     }
 
     /// Counts events at their snapped world positions.
@@ -1062,40 +947,24 @@ impl TileCompute for HotspotCompute {
         resample_overlay(self.overlay(), spec)
     }
 
-    fn prepare_append(&self, batch: AppendBatch<'_>) -> Result<PreparedAppend> {
-        let AppendBatch::Planar(points) = batch else {
+    fn append(&self, batch: AppendBatch<'_>, _threads: Threads) -> Result<AppliedAppend> {
+        let AppendBatch::Planar(batch) = batch else {
             return Err(LsgaError::InvalidParameter {
                 name: "batch",
                 message: "hotspot layers take planar points, not timed points".into(),
             });
         };
-        validate_finite_in_window(points, &self.window)?;
-        Ok(PreparedAppend::Hotspot(points.to_vec()))
-    }
-
-    fn apply_append(&self, prepared: &PreparedAppend, _threads: Threads) -> AppliedAppend {
-        let batch = expect_kind(
-            match prepared {
-                PreparedAppend::Hotspot(points) => Some(points),
-                _ => None,
-            },
-            self.kind(),
-        );
+        validate_finite_in_window(batch, &self.window)?;
         let mut points = self.points.clone();
         points.extend_from_slice(batch);
-        AppliedAppend {
+        Ok(AppliedAppend {
             next: Arc::new(HotspotCompute {
-                window: self.window,
-                cells: self.cells,
-                band: self.band,
-                stat: self.stat,
                 points,
                 overlay: OnceLock::new(),
+                ..*self
             }),
             dirty: DirtyRegion::All,
-            merged_segments: 0,
-            merged_bytes: 0,
-        }
+        })
     }
 
     /// The distance band is the hotspot layer's support.

@@ -2,7 +2,7 @@
 //!
 //! Since PR 10 a layer is any [`TileCompute`] — KDV, STKDV, NKDV, or a
 //! Gi*/LISA hotspot overlay — and everything below (cache, flights,
-//! tiers, ingest CAS loop) is analytic-agnostic. The per-kind compute
+//! tiers, serialized ingest) is analytic-agnostic. The per-kind compute
 //! and dirty-region obligations live in [`crate::compute`]; this module
 //! keeps the serving-side argument, written for the original KDV layer
 //! but carried by each kind's trait contract.
@@ -39,11 +39,12 @@
 //!
 //! # Locking
 //!
-//! Lock order is `layers → cache shard → flight table`; flight-table
-//! and per-flight mutexes are leaves (never held across another
-//! acquisition). Tile computation runs with no locks held: a leader
-//! captures its layer snapshot (an `Arc` — inserts swap the slot, they
-//! never mutate) and computes against it.
+//! Lock order is `ingest → layers → cache shard → flight table`;
+//! flight-table and per-flight mutexes are leaves (never held across
+//! another acquisition), and only appends take `ingest`. Tile
+//! computation runs with no locks held: a leader captures its layer
+//! snapshot (an `Arc` — inserts swap the slot, they never mutate) and
+//! computes against it.
 //!
 //! `layers` is an `RwLock`: the hot read path (every snapshot capture
 //! and every leader commit) takes it shared, so concurrent requests —
@@ -95,13 +96,14 @@
 //! merge that never recomputes a float, so no served bit ever depends
 //! on how far compaction has progressed.
 //!
-//! The successor stack (shared `Arc`s + the one new segment, plus any
-//! compaction merge) is assembled *outside* the layers lock and
-//! swapped in only if the generation is still the one it was built
-//! against; concurrent inserts retry on top of the winner,
-//! **re-stamping the same already-built batch segment** rather than
-//! re-indexing anything. The exclusive critical section is just the
-//! swap and the invalidation sweep.
+//! Writers are serialized: an append holds the server's `ingest`
+//! mutex from reading the current snapshot to swapping in its
+//! successor, so each batch is validated, indexed and accounted once,
+//! on top of the state it will commit to. The successor stack (shared
+//! `Arc`s + the one new segment, plus any compaction merge) is
+//! assembled *outside* the layers lock; the exclusive critical section
+//! is just the swap and the invalidation sweep. Readers never touch
+//! `ingest`, so they are blocked only by that short section.
 //!
 //! # Quality tiers: degrade now, refine later
 //!
@@ -172,7 +174,7 @@ use lsga_kdv::grid_pruned_kdv_with_index;
 use lsga_obs::{self as obs, Counter, Hist};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -230,9 +232,10 @@ pub enum HookPoint {
     /// A flight leader won its flight and is about to compute (e.g.
     /// hold the leader until all coalescing waiters have parked).
     Compute(TileKey),
-    /// An append prepared its batch and is about to make its first
-    /// commit attempt (e.g. park one writer so another steals its
-    /// generation and forces the CAS re-stamp path).
+    /// An append is about to queue for the server's writer lock,
+    /// before it reads the layer or validates the batch (e.g. park one
+    /// writer so another commits first and the parked one lands on top
+    /// of it).
     Insert {
         /// The layer appended to.
         layer: LayerId,
@@ -277,6 +280,8 @@ pub struct TileServer {
 /// public [`TileServer`] is a thin handle over one `Arc` of this.
 struct ServerCore {
     cfg: TileServerConfig,
+    /// Serializes appends; guards no data (see module docs, Locking).
+    ingest: Mutex<()>,
     layers: RwLock<Vec<Arc<LayerSnapshot>>>,
     cache: ShardedTileCache,
     flights: FlightTable,
@@ -313,6 +318,7 @@ impl TileServer {
     pub fn new(cfg: TileServerConfig) -> Self {
         let core = Arc::new(ServerCore {
             cfg,
+            ingest: Mutex::new(()),
             layers: RwLock::new(Vec::new()),
             cache: ShardedTileCache::new(cfg.shards, cfg.byte_budget),
             flights: FlightTable::new(),
@@ -905,81 +911,53 @@ impl ServerCore {
     /// Append a batch to a layer, dirtying exactly the cached tiles
     /// the layer's [`DirtyRegion`] covers.
     ///
-    /// The expensive batch work runs **once**, in the layer's
-    /// [`TileCompute::prepare_append`] (for KDV: an O(batch) counting
-    /// sort into its own immutable segment; for NKDV: snapping the
-    /// points onto the network). The successor snapshot is assembled
-    /// outside the layers lock, so concurrent snapshots (every cold
-    /// get) and leader commits are never blocked behind ingest work.
-    /// The exclusive critical section is only the generation check,
-    /// the snapshot swap, and the invalidation sweep. If another
-    /// insert won the race in the meantime, the retry re-applies the
-    /// *same* prepared batch onto the winner's state — successor
-    /// assembly against the stale state is discarded, the prepared
-    /// batch is not.
+    /// Holds `ingest` throughout, so this is the only writer: the
+    /// successor built by [`TileCompute::append`] (for KDV: an
+    /// O(batch) counting sort into its own immutable segment plus any
+    /// compaction; for NKDV: snapping the points onto the network) is
+    /// built outside the layers lock and always commits. The exclusive
+    /// layers section is only the snapshot swap and the sweep.
     fn insert(&self, layer: LayerId, batch: AppendBatch<'_>) -> Result<()> {
         if batch.is_empty() {
             return Err(LsgaError::EmptyDataset("insert_points batch"));
         }
-        let _span = obs::span("ingest.append");
-        let mut old = self.snapshot(layer)?;
-        let prepared = old.compute.prepare_append(batch)?;
-        obs::add(Counter::IngestPointsAppended, batch.len() as u64);
-
         self.fire_hook(HookPoint::Insert {
             layer,
             batch_len: batch.len(),
         });
+        let _span = obs::span("ingest.append");
+        let _ingest = self.ingest.lock().unwrap_or_else(PoisonError::into_inner);
+        let old = self.snapshot(layer)?;
+        let applied = old.compute.append(batch, self.cfg.threads)?;
+        obs::add(Counter::IngestPointsAppended, batch.len() as u64);
+        let next = Arc::clone(&applied.next);
+        let window = next.window();
 
-        loop {
-            let applied = old.compute.apply_append(&prepared, self.cfg.threads);
-            let kind = old.compute.kind();
-            let next_compute = Arc::clone(&applied.next);
-            let window = next_compute.window();
-            let next = LayerSnapshot {
-                compute: applied.next,
-                generation: old.generation + 1,
-            };
-
-            let mut layers = self.layers.write().expect("layers poisoned");
-            if layers[layer].generation != old.generation {
-                drop(layers);
-                old = self.snapshot(layer)?;
-                continue;
+        let mut layers = self.layers.write().expect("layers poisoned");
+        layers[layer] = Arc::new(LayerSnapshot {
+            compute: applied.next,
+            generation: old.generation + 1,
+        });
+        // Still under the exclusive layers lock (order: layers →
+        // shard): dirty exactly the tiles the batch can have touched,
+        // atomically with the swap (see module docs).
+        let dropped = match applied.dirty {
+            DirtyRegion::All => self.cache.invalidate(layer, |_, _| true),
+            DirtyRegion::Planar(dirty) => self.cache.invalidate(layer, |coord, _| {
+                dirty.intersects(&tile_bbox(&window, coord))
+            }),
+            DirtyRegion::SpaceTime { bbox, t_lo, t_hi } => {
+                self.cache.invalidate(layer, |coord, bin| {
+                    let t = next.bin_time(bin);
+                    t >= t_lo && t <= t_hi && bbox.intersects(&tile_bbox(&window, coord))
+                })
             }
-            layers[layer] = Arc::new(next);
-
-            // Still under the exclusive layers lock (order: layers →
-            // shard): dirty exactly the tiles the batch can have
-            // touched, atomically with the swap (see module docs).
-            let dropped = match applied.dirty {
-                DirtyRegion::All => self.cache.invalidate(layer, |_, _| true),
-                DirtyRegion::Planar(dirty) => self.cache.invalidate(layer, |coord, _| {
-                    dirty.intersects(&tile_bbox(&window, coord))
-                }),
-                DirtyRegion::SpaceTime { bbox, t_lo, t_hi } => {
-                    self.cache.invalidate(layer, |coord, bin| {
-                        let t = next_compute.bin_time(bin);
-                        t >= t_lo && t <= t_hi && bbox.intersects(&tile_bbox(&window, coord))
-                    })
-                }
-            };
-            if dropped > 0 {
-                obs::add(Counter::ServeTilesInvalidated, dropped);
-                obs::add(kind.invalidated_counter(), dropped);
-            }
-            // Merge accounting is recorded only for the committed
-            // attempt, so the ingest tables are a deterministic
-            // function of the committed batch sequence.
-            if applied.merged_segments > 0 {
-                obs::add(Counter::IngestSegmentsMerged, applied.merged_segments);
-                obs::add(Counter::IngestMergeBytes, applied.merged_bytes);
-            }
-            if let Some(depth) = next_compute.segment_depth() {
-                obs::record(Hist::IngestSegmentCount, depth as u64);
-            }
-            return Ok(());
+        };
+        if dropped > 0 {
+            obs::add(Counter::ServeTilesInvalidated, dropped);
+            obs::add(next.kind().invalidated_counter(), dropped);
         }
+        Ok(())
     }
 }
 
@@ -1242,6 +1220,31 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "tile ({z},{x},{y})");
             }
         }
+    }
+
+    #[test]
+    fn concurrent_writers_lose_no_update() {
+        // Appends are serialized, so every batch commits on top of the
+        // one before it: one generation per batch and every point
+        // present at the end, whatever the interleaving.
+        let s = server(1 << 20);
+        let kernel = KernelKind::Quartic.with_bandwidth(5.0);
+        let layer = s.add_layer(scatter(10), window(), kernel, 1e-9).unwrap();
+        let (writers, batches) = (4, 25);
+        std::thread::scope(|scope| {
+            for w in 0..writers {
+                let s = &s;
+                scope.spawn(move || {
+                    for b in 0..batches {
+                        let p = scatter(writers * batches)[w * batches + b];
+                        s.insert_points(layer, &[p]).unwrap();
+                    }
+                });
+            }
+        });
+        let (generation, compute) = s.layer_state(layer).unwrap();
+        assert_eq!(generation, (writers * batches) as u64);
+        assert_eq!(compute.halo_points(window()), 10 + writers * batches);
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! monolithic rebuild of the same prefix of batches. This suite drives
 //! randomized insert/get interleavings at pool widths 1 and 8 against
 //! that oracle, pins the nasty interleavings directly (compaction
-//! completing under a mid-flight reader; two writers racing the
-//! generation CAS), and checks the tier policy's logarithmic depth
-//! bound from the outside through `segment_count`.
+//! completing under a mid-flight reader; two writers racing for the
+//! same layer), and checks the tier policy's logarithmic depth bound
+//! from the outside through `segment_count`.
 //!
-//! The directed tests also certify the ingest accounting: a CAS loser
-//! must *re-stamp* its already-built segment (`ingest.segments_created`
-//! stays at one per batch — no rebuild), and a compaction completing
-//! under a reader must surface as a stale discard plus a merge, never
-//! as wrong bits.
+//! The directed tests also certify the ingest accounting: racing
+//! writers are serialized, so the later one indexes its batch once on
+//! top of the earlier one's committed stack (`ingest.segments_created`
+//! stays at one per batch), and a compaction completing under a reader
+//! must surface as a stale discard plus a merge, never as wrong bits.
 
 use lsga::core::par::Threads;
 use lsga::prelude::*;
@@ -303,12 +303,11 @@ fn compaction_completing_under_reader_discards_stale_tile() {
 }
 
 #[test]
-fn cas_loser_restamps_segment_without_rebuild() {
-    // Two writers race the generation CAS. The loser must retry by
-    // re-stamping the segment it already built onto the winner's stack
-    // — `ingest.segments_created` stays at exactly one per batch. (The
-    // old design re-ran the full O(n) rebuild on every retry; this
-    // pins the fix.)
+fn racing_writers_are_serialized() {
+    // Two writers race for the same layer. Appends are serialized, so
+    // whichever takes the writer lock second builds its successor on
+    // top of the first one's committed state: one segment per batch,
+    // no lost update, and the served bits follow the commit order.
     let _g = LOCK.lock().unwrap();
     obs::reset();
     obs::enable();
@@ -319,8 +318,8 @@ fn cas_loser_restamps_segment_without_rebuild() {
         .add_layer(base.clone(), window(), kernel, TAIL_EPS)
         .expect("layer");
 
-    // Writer A (batch of 2) parks *after* building its segment, so
-    // writer B (batch of 5) commits first and steals A's generation.
+    // Writer A (batch of 2) parks on the insert hook, which fires
+    // before the writer lock, so writer B (batch of 5) commits first.
     let a_parked = Arc::new(AtomicBool::new(false));
     let b_done = Arc::new(AtomicBool::new(false));
     let (a_parked_h, b_done_h) = (Arc::clone(&a_parked), Arc::clone(&b_done));
@@ -351,18 +350,22 @@ fn cas_loser_restamps_segment_without_rebuild() {
     writer_a.join().expect("writer A panicked");
     s.set_hook(None);
 
-    // Neither batch triggers a merge (64 > 2·7, 5 > 2·2), so the CAS
-    // conflict is the only interesting event in the table.
+    // Neither batch triggers a merge (64 > 2·7, 5 > 2·2), so each
+    // append leaves exactly one new segment on the stack.
     let snap = obs::drain();
     obs::disable();
     assert_eq!(
         snap.counter("ingest.segments_created"),
         2,
-        "the CAS loser re-indexed its batch instead of re-stamping it"
+        "one segment per batch"
     );
     assert_eq!(snap.counter("ingest.segments_merged"), 0);
     assert_eq!(snap.counter("ingest.points_appended"), 7);
-    assert_eq!(s.segment_count(layer).unwrap(), 3, "[64, 5, 2]");
+    assert_eq!(
+        s.segment_count(layer).unwrap(),
+        3,
+        "[64, 5, 2]: A landed on top of B"
+    );
 
     // Commit order is B then A; the monolithic oracle over that
     // sequence must match the served bits exactly.

@@ -612,8 +612,12 @@ fn stkdv_bins_key_the_cache_without_colliding() {
     assert!(s.get_tile_binned(st, 0, 0, 0, NT).is_err());
 }
 
-/// Kind mismatches at the append boundary are rejected cleanly: planar
-/// batches into an STKDV layer and timed batches into planar layers.
+/// Bad batches are rejected cleanly at the append boundary, per kind:
+/// shape mismatches (planar into STKDV, timed into planar layers),
+/// non-finite coordinates, points outside the layer window and, for
+/// STKDV, times outside the layer range. Each rejection is an
+/// `InvalidParameter` that leaves the cache, a warm tile and the
+/// ingest counters exactly as they were.
 #[test]
 fn wrong_batch_shape_is_rejected_per_kind() {
     let _g = LOCK.lock().unwrap();
@@ -637,20 +641,94 @@ fn wrong_batch_shape_is_rejected_per_kind() {
             .expect("stkdv compute"),
         ))
         .expect("stkdv layer");
+    let nkdv = s
+        .add_compute_layer(Arc::new(
+            NkdvCompute::new(
+                Arc::clone(&fx.net),
+                Arc::clone(&fx.lixels),
+                &network::sample_on_network(&fx.net, 10, 4),
+                nkdv_kernel(),
+            )
+            .expect("nkdv compute"),
+        ))
+        .expect("nkdv layer");
     let hot = s
         .add_compute_layer(Arc::new(
             HotspotCompute::new(&scatter(10, 3), window(), CELLS, BAND, fx.stat)
                 .expect("hotspot compute"),
         ))
         .expect("hotspot layer");
+    let warm: Vec<_> = [kdv, st, nkdv, hot]
+        .iter()
+        .map(|&l| s.get_tile(l, 0, 0, 0).expect("warm get"))
+        .collect();
+    let cached = s.cached_tiles();
 
-    assert!(s.insert_points(st, &scatter(2, 9)).is_err());
-    assert!(s.insert_timed_points(kdv, &timed_scatter(2, 9)).is_err());
-    assert!(s.insert_timed_points(hot, &timed_scatter(2, 9)).is_err());
-    // Valid shapes still land after the rejections.
+    // A valid point first, so a half-applied batch would show.
+    let ok = Point::new(10.0, 10.0);
+    let planar_bad = [
+        vec![ok, Point::new(f64::NAN, 5.0)],
+        vec![ok, Point::new(5.0, f64::INFINITY)],
+        vec![ok, Point::new(150.0, 50.0)],
+    ];
+    let timed_bad = [
+        vec![TimedPoint::new(10.0, 10.0, f64::NAN)],
+        vec![TimedPoint::new(f64::NEG_INFINITY, 10.0, 20.0)],
+        vec![TimedPoint::new(-5.0, 10.0, 20.0)],
+        vec![TimedPoint::new(10.0, 10.0, T_MAX + 1.0)],
+        vec![TimedPoint::new(10.0, 10.0, T_MIN - 1.0)],
+    ];
+    obs::reset();
+    obs::enable();
+    let mut rejections: Vec<(&str, lsga::core::error::Result<()>)> = vec![
+        ("planar into stkdv", s.insert_points(st, &scatter(2, 9))),
+        (
+            "timed into kdv",
+            s.insert_timed_points(kdv, &timed_scatter(2, 9)),
+        ),
+        (
+            "timed into nkdv",
+            s.insert_timed_points(nkdv, &timed_scatter(2, 9)),
+        ),
+        (
+            "timed into hotspot",
+            s.insert_timed_points(hot, &timed_scatter(2, 9)),
+        ),
+    ];
+    for batch in &planar_bad {
+        rejections.push(("bad planar into kdv", s.insert_points(kdv, batch)));
+        rejections.push(("bad planar into hotspot", s.insert_points(hot, batch)));
+    }
+    // NKDV snaps every finite point onto its network, so only the
+    // non-finite batches are errors there.
+    for batch in &planar_bad[..2] {
+        rejections.push(("non-finite into nkdv", s.insert_points(nkdv, batch)));
+    }
+    for batch in &timed_bad {
+        rejections.push(("bad timed into stkdv", s.insert_timed_points(st, batch)));
+    }
+    for (what, r) in rejections {
+        let err = r.expect_err(what);
+        assert!(
+            matches!(err, lsga::core::error::LsgaError::InvalidParameter { .. }),
+            "{what}: {err:?}"
+        );
+    }
+    assert_eq!(s.cached_tiles(), cached, "a rejection dropped cached tiles");
+    for (&l, tile) in [kdv, st, nkdv, hot].iter().zip(&warm) {
+        let again = s.get_tile(l, 0, 0, 0).expect("re-get");
+        assert!(Arc::ptr_eq(tile, &again), "layer {l}: warm tile recomputed");
+    }
+    let snap = obs::drain();
+    obs::disable();
+    assert_eq!(snap.counter("ingest.points_appended"), 0);
+    assert_eq!(snap.counter("ingest.segments_created"), 0);
+
+    // Valid batches still land after the rejections.
     s.insert_points(kdv, &scatter(2, 10)).expect("kdv insert");
     s.insert_timed_points(st, &timed_scatter(2, 10))
         .expect("stkdv insert");
+    s.insert_points(nkdv, &scatter(2, 10)).expect("nkdv insert");
     s.insert_points(hot, &scatter(2, 10)).expect("hot insert");
 }
 

@@ -387,14 +387,15 @@ fn per_kind_serve_tables_identical_across_server_pool_widths() {
         }
         // Inserts dirty cached tiles of their own layer only, so each
         // kind's invalidation counter moves exactly for its own batch.
-        s.insert_points(kdv_layer, &data::uniform_points(5, window(), 59))
-            .expect("kdv insert");
-        s.insert_timed_points(st, &data::uniform_timed_points(5, window(), 0.0, 40.0, 61))
-            .expect("stkdv insert");
-        s.insert_points(nk, &[Point::new(30.0, 30.0)])
-            .expect("nkdv insert");
-        s.insert_points(hot, &data::uniform_points(5, window(), 67))
-            .expect("hotspot insert");
+        let kdv_batch = data::uniform_points(5, window(), 59);
+        let st_batch = data::uniform_timed_points(5, window(), 0.0, 40.0, 61);
+        let nk_batch = [Point::new(30.0, 30.0)];
+        let hot_batch = data::uniform_points(5, window(), 67);
+        s.insert_points(kdv_layer, &kdv_batch).expect("kdv insert");
+        s.insert_timed_points(st, &st_batch).expect("stkdv insert");
+        s.insert_points(nk, &nk_batch).expect("nkdv insert");
+        s.insert_points(hot, &hot_batch).expect("hotspot insert");
+        let appended = kdv_batch.len() + st_batch.len() + nk_batch.len() + hot_batch.len();
         // Warm re-gets recompute exactly the invalidated entries.
         for &l in &[kdv_layer, nk, hot] {
             let _ = s.get_tile(l, 1, 0, 0).expect("warm get");
@@ -409,6 +410,18 @@ fn per_kind_serve_tables_identical_across_server_pool_widths() {
             .copied()
             .filter(|(n, _)| n.contains("{kind="))
             .collect();
+        // Counter laws, from the same drained snapshot: the per-kind
+        // counters partition their totals, and every appended point
+        // is accounted once.
+        for family in ["serve.tiles_computed", "serve.tiles_invalidated"] {
+            let per_kind: u64 = table
+                .iter()
+                .filter(|(n, _)| n.starts_with(&format!("{family}{{kind=")))
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(per_kind, snap.counter(family), "{family}: Σ per kind");
+        }
+        assert_eq!(snap.counter("ingest.points_appended"), appended as u64);
         table
     };
     let t1 = run(1);
